@@ -9,7 +9,7 @@ certificate showing the polytope has at least 3^d nonempty faces.
 from .kalai import Certificate, certify, enumerate_cones
 from .lattice import FaceLattice, enumerate_faces
 from .polytope import Polytope, build_polytope, generate
-from .ratgeom import QMatrix, QVector, Rational, rational
+from .ratgeom import QVector, Rational, rational
 from .symmetry import OrthoBasis, standard_basis, verify_basis
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "Rational",
     "rational",
     "QVector",
-    "QMatrix",
     "Polytope",
     "build_polytope",
     "generate",

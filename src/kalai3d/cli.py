@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 on success (certify: verdict true; symmetry: both checks
 pass), 1 when a check or the certificate verdict fails, 2 on malformed
-input or I/O trouble.  Parse errors point at the offending line and
-column.
+input or I/O trouble, 3 on an internal error (a bug, never a verdict).
+Parse errors point at the offending line and column.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from .fileio import (
-    ParseError,
     format_polytope_text,
     polytope_json_dict,
     read_basis,
@@ -258,17 +258,16 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (OSError, ValueError, TypeError) as exc:
+        # ValueError includes ParseError and GeometryError (unbounded,
+        # empty, degenerate); TypeError comes from bad family/basis
+        # combinations
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
-        # covers GeometryError subclasses (unbounded, empty, degenerate)
-        # and bad family/basis combinations
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,23 +20,18 @@ from itertools import product
 from typing import Optional, Sequence, Union
 
 from .lattice import Face, FaceLattice, enumerate_faces
-from .polytope import Halfspace, Polytope
+from .polytope import Polytope
 from .ratgeom import QVector, format_rational
 from .symmetry import OrthoBasis, SymmetryReport, verify_basis
 from . import simplex
 
 __all__ = [
     "SignedSubset",
-    "Cone",
     "ConeWitness",
     "Certificate",
     "enumerate_cones",
-    "build_cone",
-    "qk_halfspaces",
     "relint_meets_cone_interior",
     "WitnessSearch",
-    "witness_for_cone",
-    "check_interior_inclusion",
     "certify",
 ]
 
@@ -64,24 +59,8 @@ class SignedSubset:
     def unselected(self) -> tuple:
         return tuple(i for i, s in enumerate(self.signs) if not s)
 
-    @property
-    def size(self) -> int:
-        return sum(1 for s in self.signs if s)
-
     def __len__(self) -> int:
         return len(self.signs)
-
-
-@dataclass(frozen=True)
-class Cone:
-    """A signed subset together with its generating vectors.
-
-    The closed cone is all nonnegative combinations of the generators;
-    its relative interior requires every coefficient strictly positive.
-    """
-
-    subset: SignedSubset
-    generators: tuple
 
 
 def enumerate_cones(d: int) -> list:
@@ -99,32 +78,6 @@ def _basis_vectors(basis: Union[OrthoBasis, Sequence]) -> tuple:
     if isinstance(basis, OrthoBasis):
         return basis.vectors
     return tuple(v if isinstance(v, QVector) else QVector(v) for v in basis)
-
-
-def build_cone(subset: SignedSubset, basis: Union[OrthoBasis, Sequence]) -> Cone:
-    vecs = _basis_vectors(basis)
-    if len(vecs) != len(subset):
-        raise ValueError("sign vector length differs from basis size")
-    return Cone(
-        subset=subset,
-        generators=tuple(s * vecs[i] for i, s in subset.selected()),
-    )
-
-
-def qk_halfspaces(
-    subset: SignedSubset, basis: Union[OrthoBasis, Sequence]
-) -> list:
-    """One halfspace x . (s*b_i) >= 0 per selected basis vector.
-
-    Emitted in the <= form this package uses everywhere, so the normal is
-    the negated signed vector with offset 0.  Together with the equality
-    constraints x . b_i = 0 on the unselected vectors, the intersection
-    is the closed cone of the subset.
-    """
-    vecs = _basis_vectors(basis)
-    if len(vecs) != len(subset):
-        raise ValueError("sign vector length differs from basis size")
-    return [Halfspace(-(s * vecs[i]), 0) for i, s in subset.selected()]
 
 
 def relint_meets_cone_interior(
@@ -171,7 +124,8 @@ def relint_meets_cone_interior(
     result = m.maximize({eps: 1})
     if result.status == simplex.INFEASIBLE:
         return None
-    assert result.status == simplex.OPTIMAL, "eps is bounded by 1/k"
+    if result.status != simplex.OPTIMAL:
+        raise RuntimeError(f"witness LP {result.status}; eps is bounded by 1/k")
     eps_star = result.x[-1]
     if eps_star <= 0:
         return None
@@ -267,42 +221,6 @@ class ConeWitness:
     face: Face
     point: QVector
     inclusion_ok: bool
-
-
-def witness_for_cone(
-    p: Polytope,
-    lat: FaceLattice,
-    basis: Union[OrthoBasis, Sequence],
-    subset: SignedSubset,
-) -> Optional[ConeWitness]:
-    """Minimal-dimension proper face whose relint meets the open cone.
-
-    Ties at the minimal dimension are broken by lexicographic vertex
-    ids, so certificates are reproducible.  Returns None when no face
-    qualifies, which cannot happen when the symmetry hypotheses hold;
-    the caller records it as a certificate failure rather than crashing.
-    """
-    return WitnessSearch(p, lat, basis).find(subset)
-
-
-def check_interior_inclusion(
-    witness: ConeWitness, p: Polytope, basis: Union[OrthoBasis, Sequence]
-) -> bool:
-    """Recheck the strict-inclusion condition for an existing witness.
-
-    Exact vertex-sign equivalent: relint(face) lies strictly inside the
-    cone's open halfspace system iff against every selected direction no
-    face vertex is negative and at least one is positive.  (A negative
-    vertex would let weight concentrate into a violating relint point;
-    all-zero would make the combination zero, not positive.)
-    """
-    vecs = _basis_vectors(basis)
-    for i, s in witness.subset.selected():
-        u = s * vecs[i]
-        vals = [p.vertices[v].dot(u) for v in witness.face.vertex_ids]
-        if any(val < 0 for val in vals) or not any(val > 0 for val in vals):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

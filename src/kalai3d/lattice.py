@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .polytope import Polytope
-from .ratgeom import QMatrix, QVector, affine_rank, kernel_basis, rational
+from .ratgeom import QVector, affine_rank, kernel_basis
 from . import simplex
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "closure",
     "enumerate_faces",
     "brute_force_faces",
-    "relint_point",
 ]
 
 
@@ -150,7 +149,8 @@ def enumerate_faces(p: Polytope) -> FaceLattice:
     atoms = []
     for i in range(n):
         amask, _ = _closure_mask(p, 1 << i)
-        assert amask == 1 << i, "a vertex must be its own closure"
+        if amask != 1 << i:
+            raise RuntimeError(f"vertex {i} is not its own closure")
         atoms.append(amask)
 
     known = set(atoms)
@@ -170,19 +170,11 @@ def enumerate_faces(p: Polytope) -> FaceLattice:
 
     faces = [_face_from_vmask(p, vmask) for vmask in known]
     lat = FaceLattice(p.dim, faces)
-    assert lat.f_vector[p.dim] == 1, "exactly one top face expected"
-    assert lat.f_vector[0] == n, "every vertex is a face"
+    if lat.f_vector[p.dim] != 1 or lat.f_vector[0] != n:
+        raise RuntimeError(
+            f"f-vector {lat.f_vector} needs one top face and {n} vertices"
+        )
     return lat
-
-
-def relint_point(face: Face, p: Polytope) -> QVector:
-    """A point in the relative interior: the vertex barycenter."""
-    if not face.vertex_ids:
-        raise ValueError("face has no vertices")
-    acc = QVector.zero(p.dim)
-    for i in face.vertex_ids:
-        acc = acc + p.vertices[i]
-    return rational(1, len(face.vertex_ids)) * acc
 
 
 # --- Definition-level oracle -------------------------------------------------
@@ -201,7 +193,7 @@ def _aff_complement_basis(points: list) -> list:
     if len(points) == 1:
         return [QVector.unit(d, i) for i in range(d)]
     base = points[0]
-    return kernel_basis(QMatrix([q - base for q in points[1:]]))
+    return kernel_basis([q - base for q in points[1:]])
 
 
 def _supports_exactly(p: Polytope, member_ids: frozenset, comp_basis: list) -> bool:

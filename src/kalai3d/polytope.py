@@ -19,10 +19,10 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .ratgeom import (
-    QMatrix,
     QVector,
     Rational,
     affine_rank,
+    rank,
     rational,
     _reduced_echelon,
 )
@@ -224,7 +224,7 @@ def _recession_is_trivial(halfspaces: Sequence[Halfspace], dim: int) -> bool:
     """
     normal_keys = {h.normal.coords for h in halfspaces}
     if all((-h.normal).coords in normal_keys for h in halfspaces):
-        return QMatrix([h.normal for h in halfspaces]).rank() == dim
+        return rank([h.normal for h in halfspaces]) == dim
 
     for j, sign in product(range(dim), (1, -1)):
         m = simplex.Model()
@@ -359,12 +359,14 @@ def build_polytope(rep: Union[HRep, VRep]) -> Polytope:
     kept.sort(key=lambda t: t[0])
 
     incidence = tuple(onset for onset, _ in kept)
-    assert len(set(incidence)) == len(incidence), "duplicate facet support"
+    if len(set(incidence)) != len(incidence):
+        raise RuntimeError("two facets have the same vertex set")
     counts = [0] * len(verts)
     for onset in incidence:
         for i in onset:
             counts[i] += 1
-    assert all(c >= d for c in counts), "vertex on fewer than d facets"
+    if any(c < d for c in counts):
+        raise RuntimeError(f"a vertex lies on fewer than {d} facets")
 
     return Polytope(d, verts, tuple(h for _, h in kept), incidence)
 

@@ -26,8 +26,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "QVector",
-    "QMatrix",
-    "dot",
+    "rank",
     "affine_rank",
     "solve_linear",
     "kernel_basis",
@@ -147,47 +146,6 @@ class QVector:
             )
 
 
-def dot(u: QVector, v: QVector):
-    """Exact inner product; raises ValueError on a dimension mismatch."""
-    if not isinstance(u, QVector):
-        u = QVector(u)
-    if not isinstance(v, QVector):
-        v = QVector(v)
-    return u.dot(v)
-
-
-class QMatrix:
-    """Rectangular rational matrix stored as a tuple of row vectors."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable):
-        self.rows = tuple(
-            r if isinstance(r, QVector) else QVector(r) for r in rows
-        )
-        if not self.rows:
-            raise ValueError("matrix needs at least one row")
-        width = len(self.rows[0])
-        for r in self.rows[1:]:
-            if len(r) != width:
-                raise ValueError("ragged rows in matrix")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    def rank(self) -> int:
-        work = [list(r.coords) for r in self.rows]
-        return len(_reduced_echelon(work))
-
-    def __repr__(self) -> str:
-        return f"QMatrix({self.nrows}x{self.ncols})"
-
-
 def _reduced_echelon(rows: list) -> list:
     """In-place Gauss-Jordan elimination; returns the pivot column list.
 
@@ -240,20 +198,22 @@ def affine_rank(points: Sequence[QVector]) -> int:
     return len(_reduced_echelon(diffs))
 
 
-def solve_linear(a: QMatrix, b: QVector) -> Optional[QVector]:
+def rank(rows: Sequence[QVector]) -> int:
+    """Rank of the matrix with the given rows."""
+    return len(_reduced_echelon([list(r.coords) for r in rows]))
+
+
+def solve_linear(rows: Sequence[QVector], b: QVector) -> Optional[QVector]:
     """One exact solution of A x = b, or None when the system is inconsistent.
 
-    When the solution space has positive dimension the free variables are
-    set to zero, so the returned point is still deterministic.
+    A is given by its rows.  When the solution space has positive
+    dimension the free variables are set to zero, so the returned point
+    is still deterministic.
     """
-    if not isinstance(a, QMatrix):
-        a = QMatrix(a)
-    if not isinstance(b, QVector):
-        b = QVector(b)
-    if len(b) != a.nrows:
-        raise ValueError(f"dimension mismatch: {a.nrows} rows vs {len(b)} rhs")
-    ncols = a.ncols
-    aug = [list(row.coords) + [b[i]] for i, row in enumerate(a.rows)]
+    if len(b) != len(rows):
+        raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs")
+    ncols = len(rows[0])
+    aug = [list(row.coords) + [b[i]] for i, row in enumerate(rows)]
     pivots = _reduced_echelon(aug)
     if pivots and pivots[-1] == ncols:
         return None  # a pivot in the rhs column means 0 = nonzero
@@ -263,17 +223,16 @@ def solve_linear(a: QMatrix, b: QVector) -> Optional[QVector]:
     return QVector(x)
 
 
-def kernel_basis(a: QMatrix) -> list:
-    """Basis of the right kernel {x : A x = 0}, deterministic order.
+def kernel_basis(rows: Sequence[QVector]) -> list:
+    """Basis of the right kernel {x : A x = 0} of the matrix with these
+    rows, in deterministic order.
 
     Returns one vector per free column of the reduced echelon form;
     an empty list means the kernel is trivial.
     """
-    if not isinstance(a, QMatrix):
-        a = QMatrix(a)
-    work = [list(r.coords) for r in a.rows]
+    work = [list(r.coords) for r in rows]
     pivots = _reduced_echelon(work)
-    ncols = a.ncols
+    ncols = len(rows[0])
     free = [c for c in range(ncols) if c not in set(pivots)]
     basis = []
     for fc in free:

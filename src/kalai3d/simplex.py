@@ -172,8 +172,8 @@ def _solve(rows: list, rhs: list, cost: list):
     phase2 = list(cost) + [Rational(0)] * m + [Rational(0)]
 
     costs = [phase1, phase2]
-    status = _bland(tableau, costs, 0, basis, n + m)
-    assert status == OPTIMAL  # phase 1 is bounded below by 0
+    if _bland(tableau, costs, 0, basis, n + m) != OPTIMAL:
+        raise RuntimeError("phase 1 unbounded, but its cost is bounded below by 0")
     if phase1[-1] != 0:
         return INFEASIBLE, None, None
 

@@ -1,9 +1,12 @@
-"""Hypothesis checks: central symmetry and hyperplane reflection symmetry.
+"""Hypothesis checks: hyperplane reflection symmetry and central symmetry.
 
-Two separate facts are verified about an input polytope: that its vertex
-set equals its own negation, and that reflecting across each hyperplane
-normal to a given orthogonal basis vector permutes the vertex set.
-Neither implies the other, so the report carries both.
+The one hypothesis is that reflecting across the hyperplane normal to
+each of d pairwise orthogonal basis vectors permutes the vertex set.
+Those d reflections compose to -I, so when they all hold the vertex set
+also equals its own negation: central symmetry follows and needs no
+separate test.  It is tested only when a reflection check fails, so
+that the report can still say whether the polytope is centrally
+symmetric.
 
 Reflections divide by v.v only, so everything stays rational and the
 checks are exact set comparisons, never tolerance tests.
@@ -24,7 +27,6 @@ __all__ = [
     "reflect",
     "is_centrally_symmetric",
     "verify_basis",
-    "detect_standard_basis",
 ]
 
 
@@ -137,54 +139,40 @@ def verify_basis(
     if any(len(v) != p.dim for v in vecs):
         raise ValueError("basis vector length differs from polytope dimension")
 
-    central = is_centrally_symmetric(p)
-
-    def report(ok: bool, failing: Optional[int], details: str) -> SymmetryReport:
+    def report(failing: int, details: str) -> SymmetryReport:
+        central = is_centrally_symmetric(p)
         if not central:
             details = f"the vertex set is not centrally symmetric; {details}"
         return SymmetryReport(
             centrally_symmetric=central,
-            basis_verified=ok,
+            basis_verified=False,
             failing_vector=failing,
             details=details,
         )
 
     for i, v in enumerate(vecs):
         if v.is_zero():
-            return report(False, i, f"basis vector {i} is zero")
+            return report(i, f"basis vector {i} is zero")
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             if vecs[i].dot(vecs[j]) != 0:
-                return report(
-                    False, j, f"basis vectors {i} and {j} are not orthogonal"
-                )
+                return report(j, f"basis vectors {i} and {j} are not orthogonal")
 
     vset = set(p.vertices)
     for i, v in enumerate(vecs):
         if {reflect(x, v) for x in vset} != vset:
             return report(
-                False,
                 i,
                 f"reflection across the hyperplane normal to basis vector {i} "
                 "does not preserve the vertex set",
             )
 
-    if central:
-        return SymmetryReport(
-            centrally_symmetric=True,
-            basis_verified=True,
-            failing_vector=None,
-            details=(
-                "centrally symmetric; "
-                f"all {len(vecs)} reflection symmetries verified"
-            ),
-        )
-    return report(True, None, f"all {len(vecs)} reflection symmetries verified")
-
-
-def detect_standard_basis(p: Polytope) -> Optional[OrthoBasis]:
-    """The coordinate basis, if the polytope is symmetric about it."""
-    basis = standard_basis(p.dim)
-    if verify_basis(p, basis).basis_verified:
-        return basis
-    return None
+    return SymmetryReport(
+        centrally_symmetric=True,
+        basis_verified=True,
+        failing_vector=None,
+        details=(
+            "centrally symmetric; "
+            f"all {len(vecs)} reflection symmetries verified"
+        ),
+    )

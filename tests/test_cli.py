@@ -259,6 +259,18 @@ def test_missing_subcommand(run):
     assert code == 2
 
 
+def test_internal_error_exit_code(run, cube2_path, monkeypatch):
+    """A bug must not pass for a false verdict (1) or bad input (2)."""
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("kalai3d.cli.certify", broken)
+    code, out, err = run("certify", cube2_path)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:\n")
+    assert "RuntimeError: boom" in err
+
+
 # --- selftest and module entry ---------------------------------------------
 
 def test_selftest(run):

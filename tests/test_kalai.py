@@ -5,16 +5,11 @@ import json
 import pytest
 
 from kalai3d.kalai import (
-    Certificate,
-    ConeWitness,
     SignedSubset,
-    build_cone,
+    WitnessSearch,
     certify,
-    check_interior_inclusion,
     enumerate_cones,
-    qk_halfspaces,
     relint_meets_cone_interior,
-    witness_for_cone,
 )
 from kalai3d.lattice import Face, enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, generate
@@ -26,10 +21,6 @@ from test_symmetry import HEXAGON_POINTS, SHEAR_POINTS
 
 def qv(*coords):
     return QVector(coords)
-
-
-def e(dim, i):
-    return QVector.unit(dim, i)
 
 
 class TestSignedSubset:
@@ -45,7 +36,6 @@ class TestSignedSubset:
         k = SignedSubset((1, 0, -1))
         assert k.selected() == ((0, 1), (2, -1))
         assert k.unselected() == (1,)
-        assert k.size == 2
         assert len(k) == 3
 
 
@@ -66,33 +56,6 @@ class TestEnumerateCones:
     def test_d0_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cones(0)
-
-
-class TestConesAndHalfspaces:
-    def test_build_cone_generators(self):
-        cone = build_cone(SignedSubset((1, -1)), standard_basis(2))
-        assert cone.generators == (e(2, 0), -e(2, 1))
-
-    def test_qk_single(self):
-        (h,) = qk_halfspaces(SignedSubset((1, 0)), standard_basis(2))
-        assert h.normal == -e(2, 0)
-        assert h.offset == 0
-
-    def test_qk_two(self):
-        hs = qk_halfspaces(SignedSubset((1, -1)), standard_basis(2))
-        assert [h.normal for h in hs] == [-e(2, 0), e(2, 1)]
-        assert all(h.offset == 0 for h in hs)
-
-    def test_qk_middle_selection(self):
-        hs = qk_halfspaces(SignedSubset((0, 1, 0)), standard_basis(3))
-        assert len(hs) == 1
-        assert hs[0].normal == -e(3, 1)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            qk_halfspaces(SignedSubset((1, 0, 0)), standard_basis(2))
-        with pytest.raises(ValueError):
-            build_cone(SignedSubset((1,)), standard_basis(2))
 
 
 @pytest.fixture(scope="module")
@@ -133,19 +96,17 @@ class TestRelintMeetsCone:
 
 
 class TestWitnessForCone:
-    def test_square_axis_cone_gets_edge(self):
-        p = generate("cube", dim=2)
-        lat = enumerate_faces(p)
-        w = witness_for_cone(p, lat, standard_basis(2), SignedSubset((1, 0)))
+    def test_square_axis_cone_gets_edge(self, square):
+        p, lat, basis = square
+        w = WitnessSearch(p, lat, basis).find(SignedSubset((1, 0)))
         assert w.face.vertex_ids == (2, 3)
         assert w.face.dim == 1
         assert w.point == qv(1, 0)
         assert w.inclusion_ok
 
-    def test_square_quadrant_gets_corner(self):
-        p = generate("cube", dim=2)
-        lat = enumerate_faces(p)
-        w = witness_for_cone(p, lat, standard_basis(2), SignedSubset((1, 1)))
+    def test_square_quadrant_gets_corner(self, square):
+        p, lat, basis = square
+        w = WitnessSearch(p, lat, basis).find(SignedSubset((1, 1)))
         assert w.face.vertex_ids == (3,)
         assert w.face.dim == 0
         assert w.point == qv(1, 1)
@@ -153,44 +114,31 @@ class TestWitnessForCone:
     def test_cube3_octant_gets_corner(self):
         p = generate("cube", dim=3)
         lat = enumerate_faces(p)
-        w = witness_for_cone(p, lat, standard_basis(3), SignedSubset((1, 1, 1)))
+        w = WitnessSearch(p, lat, standard_basis(3)).find(SignedSubset((1, 1, 1)))
         assert [p.vertices[i] for i in w.face.vertex_ids] == [qv(1, 1, 1)]
 
 
 class TestInteriorInclusion:
-    def test_square_witnesses_pass(self):
-        p = generate("cube", dim=2)
-        lat = enumerate_faces(p)
-        basis = standard_basis(2)
+    def test_square_witnesses_pass(self, square):
+        search = WitnessSearch(*square)
         for k in enumerate_cones(2):
-            w = witness_for_cone(p, lat, basis, k)
-            assert check_interior_inclusion(w, p, basis)
+            w = search.find(k)
+            assert search.inclusion_holds(w.face, k)
             assert w.inclusion_ok
 
     def test_all_zero_edge_fails(self):
-        # Not reachable from witness_for_cone when hypotheses hold: an
-        # edge lying inside the hyperplane of a selected direction.
+        # Not reachable from the search when hypotheses hold: an edge
+        # lying inside the hyperplane of a selected direction.
         p = generate("cross_polytope", dim=2)
+        search = WitnessSearch(p, enumerate_faces(p), standard_basis(2))
         # vertices sorted: 0=(-1,0) 1=(0,-1) 2=(0,1) 3=(1,0)
         fake_face = Face(vertex_ids=(1, 2), dim=1, facet_ids=())
-        fake = ConeWitness(
-            subset=SignedSubset((1, 0)),
-            face=fake_face,
-            point=qv(0, 0),
-            inclusion_ok=True,
-        )
-        assert not check_interior_inclusion(fake, p, standard_basis(2))
+        assert not search.inclusion_holds(fake_face, SignedSubset((1, 0)))
 
-    def test_mixed_sign_edge_fails(self):
-        p = generate("cube", dim=2)
+    def test_mixed_sign_edge_fails(self, square):
+        search = WitnessSearch(*square)
         fake_face = Face(vertex_ids=(0, 3), dim=1, facet_ids=())  # a diagonal
-        fake = ConeWitness(
-            subset=SignedSubset((1, 0)),
-            face=fake_face,
-            point=qv(0, 0),
-            inclusion_ok=True,
-        )
-        assert not check_interior_inclusion(fake, p, standard_basis(2))
+        assert not search.inclusion_holds(fake_face, SignedSubset((1, 0)))
 
 
 SQUARE_WITNESS_MAP = {
@@ -269,8 +217,9 @@ class TestCertify:
         p = generate("cube", dim=2)
         lat = enumerate_faces(p)
         basis = standard_basis(2)
+        search = WitnessSearch(p, lat, basis)
         for k in enumerate_cones(2):
-            w = witness_for_cone(p, lat, basis, k)
+            w = search.find(k)
             for f in lat.faces:
                 if f.dim < w.face.dim:
                     assert (

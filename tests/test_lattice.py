@@ -1,15 +1,13 @@
 """Face lattice enumeration against frozen counts and the LP oracle."""
 
+import subprocess
+import sys
+
 import pytest
 
-from kalai3d.lattice import (
-    brute_force_faces,
-    closure,
-    enumerate_faces,
-    relint_point,
-)
+from kalai3d.lattice import brute_force_faces, closure, enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, generate
-from kalai3d.ratgeom import QVector
+from kalai3d.ratgeom import QVector, rational
 
 
 def qv(*coords):
@@ -58,7 +56,30 @@ class TestClosure:
             closure(p, [7])
 
 
+# A square whose incidence puts vertices 0 and 1 on the same two facets,
+# so neither is its own closure.  Printed: __debug__ and the error.
+BROKEN_SQUARE = """
+from kalai3d.lattice import enumerate_faces
+from kalai3d.polytope import Polytope, generate
+sq = generate("cube", dim=2)
+bad = Polytope(2, sq.vertices, sq.halfspaces, ((0, 1), (0, 1), (2, 3), (2, 3)))
+try:
+    enumerate_faces(bad)
+except RuntimeError as exc:
+    print(__debug__, exc)
+"""
+
+
 class TestEnumerateFaces:
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_broken_incidence_raises(self, flags):
+        """The invariant holds under python -O, which strips asserts."""
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", BROKEN_SQUARE],
+            capture_output=True, text=True,
+        )
+        assert proc.stdout == f"{not flags} vertex 0 is not its own closure\n"
+
     @pytest.mark.parametrize("d,expected", sorted(CUBE_FVECTORS.items()))
     def test_cube_fvector(self, d, expected):
         lat = enumerate_faces(generate("cube", dim=d))
@@ -110,20 +131,16 @@ class TestEnumerateFaces:
 
 
 class TestRelintPoint:
-    def test_square_cases(self):
-        p = generate("cube", dim=2)
-        lat = enumerate_faces(p)
-        assert relint_point(lat.face_with_vertices([0]), p) == qv(-1, -1)
-        assert relint_point(lat.face_with_vertices([0, 1]), p) == qv(-1, 0)
-        top = lat.face_with_vertices([0, 1, 2, 3])
-        assert relint_point(top, p) == qv(0, 0)
-
     def test_exactly_the_tight_facets(self):
-        """The barycenter sits on a facet boundary iff the face lies in it."""
+        """The vertex barycenter of a face lies in its relative interior,
+        so it sits on a facet boundary iff the face lies in that facet."""
         p = generate("cross_polytope", dim=3)
         lat = enumerate_faces(p)
         for f in lat.faces:
-            x = relint_point(f, p)
+            x = QVector.zero(p.dim)
+            for i in f.vertex_ids:
+                x = x + p.vertices[i]
+            x = rational(1, len(f.vertex_ids)) * x
             for j, h in enumerate(p.halfspaces):
                 assert h.contains(x)
                 assert h.boundary_contains(x) == (j in f.facet_ids)

@@ -5,7 +5,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kalai3d.ratgeom import QMatrix, QVector, rational, solve_linear
+from kalai3d.ratgeom import QVector, rational, solve_linear
 from kalai3d.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Model
 
 
@@ -169,7 +169,7 @@ def test_matches_vertex_enumeration_oracle(rows, obj):
 
     best = None
     for (a1, b1, c1), (a2, b2, c2) in combinations(ineqs, 2):
-        p = solve_linear(QMatrix([[a1, b1], [a2, b2]]), QVector([c1, c2]))
+        p = solve_linear([QVector([a1, b1]), QVector([a2, b2])], QVector([c1, c2]))
         if p is None:
             continue
         if all(a * p[0] + b * p[1] <= c for a, b, c in ineqs):

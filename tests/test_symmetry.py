@@ -9,7 +9,6 @@ from kalai3d.polytope import VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector, rational
 from kalai3d.symmetry import (
     OrthoBasis,
-    detect_standard_basis,
     is_centrally_symmetric,
     reflect,
     standard_basis,
@@ -144,10 +143,20 @@ class TestVerifyBasis:
         assert r_diag.basis_verified and r_diag.centrally_symmetric
 
     def test_triangle_reports_central_failure(self):
-        # reflections across both coordinate hyperplanes fail too, but a
-        # basis-verified variant shows central symmetry is its own check
+        # the reflections fail, and the failure report also says that the
+        # vertex set is not centrally symmetric
         r = verify_basis(triangle(), standard_basis(2))
         assert not r.centrally_symmetric
+        assert r.details.startswith("the vertex set is not centrally symmetric; ")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reflections_imply_central_symmetry(self, seed):
+        # d orthogonal reflections compose to -I, so a verified basis
+        # reports central symmetry without testing it separately
+        p = generate("random_reflection_symmetric", dim=3, m=2, seed=seed)
+        r = verify_basis(p, standard_basis(3))
+        assert r.basis_verified and r.centrally_symmetric
+        assert is_centrally_symmetric(p)
 
     def test_raw_sequence_non_orthogonal_reported_not_raised(self):
         r = verify_basis(generate("cube", dim=2), (qv(1, 0), qv(1, 1)))
@@ -199,17 +208,8 @@ class TestVerifyBasis:
 
 
 class TestDetect:
-    def test_cube(self):
-        b = detect_standard_basis(generate("cube", dim=3))
-        assert b is not None
-        assert b.vectors == standard_basis(3).vectors
+    """Symmetry about the coordinate basis, as `--basis std` checks it."""
 
     def test_scaled_cross(self):
         p = build_polytope(VRep(2, (qv(2, 0), qv(-2, 0), qv(0, 2), qv(0, -2))))
-        assert detect_standard_basis(p) is not None
-
-    def test_hexagon_absent(self):
-        assert detect_standard_basis(hexagon()) is None
-
-    def test_shear_absent(self):
-        assert detect_standard_basis(shear()) is None
+        assert verify_basis(p, standard_basis(2)).basis_verified
