@@ -21,17 +21,20 @@ import argparse
 import json
 import sys
 import traceback
+from math import comb
 from typing import Optional
 
 from .fileio import (
     format_polytope_text,
+    parse_polytope_text,
     polytope_json_dict,
     read_basis,
     read_polytope,
 )
 from .kalai import certify, enumerate_cones
 from .lattice import brute_force_faces, enumerate_faces
-from .polytope import FAMILIES, HRep, Polytope, build_polytope, generate
+from .polytope import FAMILIES, HRep, Polytope, VRep, build_polytope, generate
+from .ratgeom import QVector, rational
 from .symmetry import standard_basis, verify_basis
 
 __all__ = ["main"]
@@ -117,10 +120,6 @@ def _check(label: str, ok: bool, failures: list) -> None:
 
 
 def _cmd_selftest(args) -> int:
-    from .fileio import parse_polytope_text
-    from .polytope import VRep
-    from .ratgeom import QVector, rational
-
     failures: list = []
 
     for d in range(1, 7):
@@ -129,8 +128,6 @@ def _cmd_selftest(args) -> int:
             len(enumerate_cones(d)) == 3**d - 1,
             failures,
         )
-
-    from math import comb
 
     for d in range(1, 5):
         p = generate("cube", dim=d)

@@ -83,27 +83,27 @@ def _basis_vectors(basis: Union[OrthoBasis, Sequence]) -> tuple:
 def relint_meets_cone_interior(
     face: Face,
     subset: SignedSubset,
-    basis: Union[OrthoBasis, Sequence],
+    dots: Sequence,
+    norms: Sequence,
     p: Polytope,
 ) -> Optional[QVector]:
     """Exact decision: does relint(face) meet the open cone?
 
-    Solved as one LP.  Writing the candidate point as a convex
-    combination x = sum(lambda_j w_j) of the face's vertices, we need
-    every lambda_j >= eps, sum(lambda_j) = 1, x strict against each
-    selected direction (x.u >= eps*(u.u)) and exactly zero against each
+    dots[v][i] is the dot product of vertex v with basis vector b_i and
+    norms[i] is b_i.b_i, as WitnessSearch holds them.  Solved as one LP.
+    Writing the candidate point as a convex combination
+    x = sum(lambda_j w_j) of the face's vertices, we need every
+    lambda_j >= eps, sum(lambda_j) = 1, x strict against each selected
+    direction u = s b_i (x.u >= eps*(u.u)) and exactly zero against each
     unselected one, with eps maximized exactly.  The intersection is
     nonempty iff the optimum eps is positive; x at the optimum is then a
     rational point in both relative interiors.  Internally lambda is
     substituted as mu + eps with mu >= 0, which shrinks the system
-    without changing the feasible set or the optimum.
+    without changing the feasible set or the optimum; the eps column of
+    a row is then its row sum, less u.u on a selected row.
     """
-    vecs = _basis_vectors(basis)
-    verts = [p.vertices[i] for i in face.vertex_ids]
-    k = len(verts)
-    vsum = QVector.zero(p.dim)
-    for w in verts:
-        vsum = vsum + w
+    ids = face.vertex_ids
+    k = len(ids)
 
     m = simplex.Model()
     mu = [m.var(nonneg=True) for _ in range(k)]
@@ -111,15 +111,11 @@ def relint_meets_cone_interior(
 
     m.constrain({**{mu[j]: 1 for j in range(k)}, eps: k}, "==", 1)
     for i, s in subset.selected():
-        u = s * vecs[i]
-        coeffs = {mu[j]: verts[j].dot(u) for j in range(k)}
-        coeffs[eps] = vsum.dot(u) - u.dot(u)
-        m.constrain(coeffs, ">=", 0)
+        row = [s * dots[v][i] for v in ids]
+        m.constrain({**dict(zip(mu, row)), eps: sum(row) - norms[i]}, ">=", 0)
     for i in subset.unselected():
-        b = vecs[i]
-        coeffs = {mu[j]: verts[j].dot(b) for j in range(k)}
-        coeffs[eps] = vsum.dot(b)
-        m.constrain(coeffs, "==", 0)
+        row = [dots[v][i] for v in ids]
+        m.constrain({**dict(zip(mu, row)), eps: sum(row)}, "==", 0)
 
     result = m.maximize({eps: 1})
     if result.status == simplex.INFEASIBLE:
@@ -130,28 +126,28 @@ def relint_meets_cone_interior(
     if eps_star <= 0:
         return None
     x = QVector.zero(p.dim)
-    for j in range(k):
-        x = x + (result.x[j] + eps_star) * verts[j]
+    for j, v in enumerate(ids):
+        x = x + (result.x[j] + eps_star) * p.vertices[v]
     return x
 
 
 class WitnessSearch:
     """Face scanner for one (polytope, lattice, basis) triple.
 
-    Caches every vertex-basis dot product and per-face min/max ranges so
-    that scanning all 3^d - 1 cones shares the cheap sign screens; only
-    faces passing the screens reach the LP.  The screens are necessary
-    conditions, so they never change which face is selected, only how
-    fast it is found.
+    Holds every vertex-basis dot product, the squared basis norms, and
+    per-face min/max ranges of the dot products.  That one table feeds
+    the cheap sign screens shared by all 3^d - 1 cones, the witness LP of
+    each face that passes them, and the inclusion check on the face
+    found.  The screens are necessary conditions, so they never change
+    which face is selected, only how fast it is found.
     """
 
     def __init__(self, p: Polytope, lat: FaceLattice, basis):
         self.p = p
         self.lat = lat
-        self.vecs = _basis_vectors(basis)
-        self._dots = [
-            [v.dot(b) for b in self.vecs] for v in p.vertices
-        ]
+        vecs = _basis_vectors(basis)
+        self._dots = [[v.dot(b) for b in vecs] for v in p.vertices]
+        self._norms = [b.dot(b) for b in vecs]
         self._ranges: dict = {}
 
     def _range(self, face_index: int, basis_index: int) -> tuple:
@@ -179,13 +175,15 @@ class WitnessSearch:
                 return False
         return True
 
-    def inclusion_holds(self, face: Face, subset: SignedSubset) -> bool:
+    def inclusion_holds(self, face_index: int, subset: SignedSubset) -> bool:
         """Vertex-sign form of the strict inclusion of relint(face) in
         the open halfspace system of the cone: against every selected
         direction no vertex is negative and some vertex is positive."""
         for i, s in subset.selected():
-            vals = [s * self._dots[v][i] for v in face.vertex_ids]
-            if any(val < 0 for val in vals) or not any(val > 0 for val in vals):
+            lo, hi = self._range(face_index, i)
+            if s < 0:
+                lo, hi = -hi, -lo
+            if lo < 0 or hi <= 0:
                 return False
         return True
 
@@ -197,13 +195,15 @@ class WitnessSearch:
                 break  # faces are sorted by dimension; only the top remains
             if not self._screens_pass(fi, subset):
                 continue
-            point = relint_meets_cone_interior(face, subset, self.vecs, self.p)
+            point = relint_meets_cone_interior(
+                face, subset, self._dots, self._norms, self.p
+            )
             if point is not None:
                 return ConeWitness(
                     subset=subset,
                     face=face,
                     point=point,
-                    inclusion_ok=self.inclusion_holds(face, subset),
+                    inclusion_ok=self.inclusion_holds(fi, subset),
                 )
         return None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .polytope import Polytope
 from .ratgeom import QVector, affine_rank, kernel_basis
@@ -22,7 +22,6 @@ from . import simplex
 __all__ = [
     "Face",
     "FaceLattice",
-    "closure",
     "enumerate_faces",
     "brute_force_faces",
 ]
@@ -53,7 +52,7 @@ class FaceLattice:
     is never represented.
     """
 
-    __slots__ = ("dim", "faces", "f_vector", "total", "_by_vertices")
+    __slots__ = ("dim", "faces", "f_vector", "total")
 
     def __init__(self, dim: int, faces: Iterable[Face]):
         self.dim = dim
@@ -63,10 +62,6 @@ class FaceLattice:
             counts[f.dim] += 1
         self.f_vector = tuple(counts)
         self.total = len(self.faces)
-        self._by_vertices = {f.vertex_ids: f for f in self.faces}
-
-    def face_with_vertices(self, vertex_ids: Iterable[int]) -> Optional[Face]:
-        return self._by_vertices.get(tuple(sorted(vertex_ids)))
 
     def __iter__(self):
         return iter(self.faces)
@@ -112,18 +107,6 @@ def _bits(mask: int) -> tuple:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def closure(p: Polytope, vertex_ids: Iterable[int]) -> frozenset:
-    """Smallest face of p containing the given vertices, as vertex ids."""
-    vmask = 0
-    n = len(p.vertices)
-    for i in vertex_ids:
-        if not 0 <= i < n:
-            raise ValueError(f"vertex id {i} out of range")
-        vmask |= 1 << i
-    out, _ = _closure_mask(p, vmask)
-    return frozenset(_bits(out))
 
 
 def _face_from_vmask(p: Polytope, vmask: int) -> Face:

@@ -7,7 +7,9 @@ candidates are exactly the vertices.  That is the right tool at this
 package's scale (dimension up to about six, tens of halfspaces) and it
 keeps every step exact and auditable.  The reverse conversion goes
 through the polar polytope around the barycenter, so facets of the input
-are read off as vertices of the polar.
+are read off as vertices of the polar.  A V-input's vertices are then
+the input points whose tight facet normals have full rank, so each
+build runs one enumeration (H-input) or one polar enumeration (V-input).
 """
 
 from __future__ import annotations
@@ -70,9 +72,6 @@ class Halfspace:
         object.__setattr__(self, "offset", Rational(self.offset))
         if self.normal.is_zero():
             raise ValueError("halfspace normal must be nonzero")
-
-    def contains(self, point: QVector) -> bool:
-        return self.normal.dot(point) <= self.offset
 
     def boundary_contains(self, point: QVector) -> bool:
         return self.normal.dot(point) == self.offset
@@ -333,22 +332,28 @@ def facets_from_vrep(vrep: VRep) -> HRep:
 def build_polytope(rep: Union[HRep, VRep]) -> Polytope:
     """Validate a representation and assemble the dual description.
 
-    Either direction funnels through both conversions, so the result
-    always carries sorted vertices, an irredundant canonical facet list,
-    and the exact incidence table.
+    H-input: the vertices are enumerated and the input halfspaces are the
+    facet candidates.  V-input: the facets come from facets_from_vrep,
+    and an input point is a vertex exactly when the normals of the facets
+    through it have rank d, so no second enumeration is needed.  Either
+    way the result carries sorted vertices, an irredundant canonical
+    facet list, and the exact incidence table.
     """
     if isinstance(rep, HRep):
-        vrep = vertices_from_hrep(rep)
+        verts = vertices_from_hrep(rep).vertices
         candidates = _dedup_dominated(rep.halfspaces)
     elif isinstance(rep, VRep):
-        hrep = facets_from_vrep(rep)
-        vrep = vertices_from_hrep(hrep)
-        candidates = list(hrep.halfspaces)
+        candidates = facets_from_vrep(rep).halfspaces
+        verts = tuple(
+            v
+            for v in sorted(set(rep.vertices))
+            if rank([h.normal for h in candidates if h.boundary_contains(v)])
+            == rep.dim
+        )
     else:
         raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
 
     d = rep.dim
-    verts = vrep.vertices
     kept = []
     for h in candidates:
         onset = tuple(i for i, v in enumerate(verts) if h.boundary_contains(v))

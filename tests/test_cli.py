@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from kalai3d import cli
 from kalai3d.cli import main
 from kalai3d.fileio import format_basis_text, format_polytope_text, parse_polytope_text
 from kalai3d.polytope import VRep, generate
@@ -264,7 +265,7 @@ def test_internal_error_exit_code(run, cube2_path, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("kalai3d.cli.certify", broken)
+    monkeypatch.setattr(cli, "certify", broken)
     code, out, err = run("certify", cube2_path)
     assert code == 3 and out == ""
     assert err.startswith("internal error:\n")

@@ -11,7 +11,7 @@ from kalai3d.kalai import (
     enumerate_cones,
     relint_meets_cone_interior,
 )
-from kalai3d.lattice import Face, enumerate_faces
+from kalai3d.lattice import Face, FaceLattice, enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector
 from kalai3d.symmetry import standard_basis
@@ -21,6 +21,17 @@ from test_symmetry import HEXAGON_POINTS, SHEAR_POINTS
 
 def qv(*coords):
     return QVector(coords)
+
+
+def face_of(lat, *vertex_ids):
+    return next(f for f in lat.faces if f.vertex_ids == vertex_ids)
+
+
+def relint(face, subset, basis, p):
+    """The witness LP with its dot table computed here from the basis."""
+    dots = [[v.dot(b) for b in basis.vectors] for v in p.vertices]
+    norms = [b.dot(b) for b in basis.vectors]
+    return relint_meets_cone_interior(face, subset, dots, norms, p)
 
 
 class TestSignedSubset:
@@ -69,29 +80,26 @@ class TestRelintMeetsCone:
 
     def test_right_edge_positive_x(self, square):
         p, lat, basis = square
-        edge = lat.face_with_vertices([2, 3])
-        got = relint_meets_cone_interior(edge, SignedSubset((1, 0)), basis, p)
+        edge = face_of(lat, 2, 3)
+        got = relint(edge, SignedSubset((1, 0)), basis, p)
         assert got == qv(1, 0)
 
     def test_corner_open_quadrant(self, square):
         p, lat, basis = square
-        corner = lat.face_with_vertices([3])
-        got = relint_meets_cone_interior(corner, SignedSubset((1, 1)), basis, p)
+        corner = face_of(lat, 3)
+        got = relint(corner, SignedSubset((1, 1)), basis, p)
         assert got == qv(1, 1)
 
     def test_corner_misses_axis_cone(self, square):
         p, lat, basis = square
-        corner = lat.face_with_vertices([3])
-        assert (
-            relint_meets_cone_interior(corner, SignedSubset((1, 0)), basis, p)
-            is None
-        )
+        corner = face_of(lat, 3)
+        assert relint(corner, SignedSubset((1, 0)), basis, p) is None
 
     def test_top_face_meets_everything(self, square):
         p, lat, basis = square
-        top = lat.face_with_vertices([0, 1, 2, 3])
+        top = face_of(lat, 0, 1, 2, 3)
         for k in enumerate_cones(2):
-            x = relint_meets_cone_interior(top, k, basis, p)
+            x = relint(top, k, basis, p)
             assert x is not None
 
 
@@ -123,22 +131,23 @@ class TestInteriorInclusion:
         search = WitnessSearch(*square)
         for k in enumerate_cones(2):
             w = search.find(k)
-            assert search.inclusion_holds(w.face, k)
+            assert search.inclusion_holds(search.lat.faces.index(w.face), k)
             assert w.inclusion_ok
 
     def test_all_zero_edge_fails(self):
         # Not reachable from the search when hypotheses hold: an edge
         # lying inside the hyperplane of a selected direction.
         p = generate("cross_polytope", dim=2)
-        search = WitnessSearch(p, enumerate_faces(p), standard_basis(2))
         # vertices sorted: 0=(-1,0) 1=(0,-1) 2=(0,1) 3=(1,0)
         fake_face = Face(vertex_ids=(1, 2), dim=1, facet_ids=())
-        assert not search.inclusion_holds(fake_face, SignedSubset((1, 0)))
+        search = WitnessSearch(p, FaceLattice(2, [fake_face]), standard_basis(2))
+        assert not search.inclusion_holds(0, SignedSubset((1, 0)))
 
     def test_mixed_sign_edge_fails(self, square):
-        search = WitnessSearch(*square)
+        p, _, basis = square
         fake_face = Face(vertex_ids=(0, 3), dim=1, facet_ids=())  # a diagonal
-        assert not search.inclusion_holds(fake_face, SignedSubset((1, 0)))
+        search = WitnessSearch(p, FaceLattice(2, [fake_face]), basis)
+        assert not search.inclusion_holds(0, SignedSubset((1, 0)))
 
 
 SQUARE_WITNESS_MAP = {
@@ -185,7 +194,7 @@ class TestCertify:
             for i in w.subset.unselected():
                 assert w.point.dot(basis.vectors[i]) == 0
             for j, h in enumerate(p.halfspaces):
-                assert h.contains(w.point)
+                assert h.normal.dot(w.point) <= h.offset
                 assert h.boundary_contains(w.point) == (j in w.face.facet_ids)
 
     def test_disjointness_mechanism(self):
@@ -222,9 +231,7 @@ class TestCertify:
             w = search.find(k)
             for f in lat.faces:
                 if f.dim < w.face.dim:
-                    assert (
-                        relint_meets_cone_interior(f, k, basis, p) is None
-                    )
+                    assert relint(f, k, basis, p) is None
 
     def test_triangle_fails_central_symmetry(self):
         p = build_polytope(VRep(2, (qv(0, 0), qv(1, 0), qv(0, 1))))

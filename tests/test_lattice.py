@@ -5,13 +5,21 @@ import sys
 
 import pytest
 
-from kalai3d.lattice import brute_force_faces, closure, enumerate_faces
+from kalai3d.lattice import _bits, _closure_mask, brute_force_faces, enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector, rational
 
 
 def qv(*coords):
     return QVector(coords)
+
+
+def closure(p, vertex_ids):
+    """Smallest face of p containing the given vertices, as vertex ids."""
+    vmask = 0
+    for i in vertex_ids:
+        vmask |= 1 << i
+    return frozenset(_bits(_closure_mask(p, vmask)[0]))
 
 
 def lattice_fingerprint(lat):
@@ -49,11 +57,6 @@ class TestClosure:
             c = closure(p, s)
             assert set(s) <= c
             assert closure(p, c) == c
-
-    def test_rejects_bad_ids(self):
-        p = generate("cube", dim=2)
-        with pytest.raises(ValueError):
-            closure(p, [7])
 
 
 # A square whose incidence puts vertices 0 and 1 on the same two facets,
@@ -123,12 +126,6 @@ class TestEnumerateFaces:
         facet_faces = [f for f in lat.faces if f.dim == p.dim - 1]
         assert sorted(f.vertex_ids for f in facet_faces) == sorted(p.incidence)
 
-    def test_lookup(self):
-        p = generate("cube", dim=2)
-        lat = enumerate_faces(p)
-        assert lat.face_with_vertices([1, 0]).dim == 1
-        assert lat.face_with_vertices([0, 3]) is None
-
 
 class TestRelintPoint:
     def test_exactly_the_tight_facets(self):
@@ -142,7 +139,7 @@ class TestRelintPoint:
                 x = x + p.vertices[i]
             x = rational(1, len(f.vertex_ids)) * x
             for j, h in enumerate(p.halfspaces):
-                assert h.contains(x)
+                assert h.normal.dot(x) <= h.offset
                 assert h.boundary_contains(x) == (j in f.facet_ids)
 
 

@@ -198,13 +198,14 @@ class TestVerifyBasis:
         vecs = basis if basis is not None else standard_basis(p.dim).vectors
         assert verify_basis(p, vecs).basis_verified
         lat = enumerate_faces(p)
+        faces = {f.vertex_ids for f in lat.faces}
         index_of = {v: i for i, v in enumerate(p.vertices)}
         for v in vecs:
             for f in lat.faces:
-                image = sorted(
+                image = tuple(sorted(
                     index_of[reflect(p.vertices[i], v)] for i in f.vertex_ids
-                )
-                assert lat.face_with_vertices(image) is not None
+                ))
+                assert image in faces
 
 
 class TestDetect:
