@@ -10,7 +10,7 @@ from .kalai import Certificate, certify, enumerate_cones
 from .lattice import FaceLattice, enumerate_faces
 from .polytope import Polytope, build_polytope, generate
 from .ratgeom import QVector, Rational, rational
-from .symmetry import OrthoBasis, standard_basis, verify_basis
+from .symmetry import standard_basis, verify_basis
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "generate",
     "FaceLattice",
     "enumerate_faces",
-    "OrthoBasis",
     "standard_basis",
     "verify_basis",
     "Certificate",

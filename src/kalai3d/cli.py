@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import traceback
+from functools import cache
 from math import comb
 from typing import Optional
 
@@ -183,7 +184,9 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="kalai3d",
         description="Exact face-count certificates for reflection-symmetric polytopes.",

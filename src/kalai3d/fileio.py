@@ -24,7 +24,6 @@ __all__ = [
     "read_polytope",
     "read_basis",
     "format_polytope_text",
-    "format_basis_text",
     "polytope_json_dict",
 ]
 
@@ -88,11 +87,12 @@ def _parse_row(tokens, width, path, lineno, what: str):
     if len(tokens) != width:
         if len(tokens) > width:
             col = tokens[width][0]
-            msg = f"expected {width} values per {what} row, got {len(tokens)}"
         else:
             col = tokens[-1][0] + len(tokens[-1][1])
-            msg = f"expected {width} values per {what} row, got {len(tokens)}"
-        raise ParseError(msg, path=path, line=lineno, col=col)
+        raise ParseError(
+            f"expected {width} values per {what} row, got {len(tokens)}",
+            path=path, line=lineno, col=col,
+        )
     values = []
     for col, text in tokens:
         try:
@@ -211,14 +211,6 @@ def format_polytope_text(rep: Union[HRep, VRep]) -> str:
             lines.append(" ".join(format_rational(c) for c in v))
     else:
         raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
-    return "\n".join(lines) + "\n"
-
-
-def format_basis_text(vectors) -> str:
-    vecs = tuple(vectors)
-    lines = [f"B {len(vecs)}"]
-    for v in vecs:
-        lines.append(" ".join(format_rational(c) for c in v))
     return "\n".join(lines) + "\n"
 
 

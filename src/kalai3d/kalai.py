@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .lattice import Face, FaceLattice, enumerate_faces
 from .polytope import Polytope
 from .ratgeom import QVector, format_rational
-from .symmetry import OrthoBasis, SymmetryReport, verify_basis
+from .symmetry import SymmetryReport, verify_basis
 from . import simplex
 
 __all__ = [
@@ -72,12 +72,6 @@ def enumerate_cones(d: int) -> list:
         for signs in product((-1, 0, 1), repeat=d)
         if any(signs)
     ]
-
-
-def _basis_vectors(basis: Union[OrthoBasis, Sequence]) -> tuple:
-    if isinstance(basis, OrthoBasis):
-        return basis.vectors
-    return tuple(v if isinstance(v, QVector) else QVector(v) for v in basis)
 
 
 def relint_meets_cone_interior(
@@ -142,12 +136,11 @@ class WitnessSearch:
     which face is selected, only how fast it is found.
     """
 
-    def __init__(self, p: Polytope, lat: FaceLattice, basis):
+    def __init__(self, p: Polytope, lat: FaceLattice, basis: Sequence[QVector]):
         self.p = p
         self.lat = lat
-        vecs = _basis_vectors(basis)
-        self._dots = [[v.dot(b) for b in vecs] for v in p.vertices]
-        self._norms = [b.dot(b) for b in vecs]
+        self._dots = [[v.dot(b) for b in basis] for v in p.vertices]
+        self._norms = [b.dot(b) for b in basis]
         self._ranges: dict = {}
 
     def _range(self, face_index: int, basis_index: int) -> tuple:
@@ -277,7 +270,7 @@ class Certificate:
         }
 
 
-def certify(p: Polytope, basis: Union[OrthoBasis, Sequence]) -> Certificate:
+def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
     """Run every check and assemble the certificate.
 
     Hypothesis failures (central symmetry, basis orthogonality, a broken

@@ -29,15 +29,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Face:
-    """One nonempty face, recorded by its vertex ids (sorted).
-
-    facet_ids lists every facet whose vertex set contains this face; it
-    is empty exactly for the whole polytope.
-    """
+    """One nonempty face, recorded by its vertex ids (sorted)."""
 
     vertex_ids: tuple
     dim: int
-    facet_ids: tuple
 
     @property
     def sort_key(self):
@@ -111,13 +106,7 @@ def _bits(mask: int) -> tuple:
 
 def _face_from_vmask(p: Polytope, vmask: int) -> Face:
     ids = _bits(vmask)
-    fmask = -1
-    for i in ids:
-        fmask &= p.vertex_facet_masks[i]
-    if fmask == -1:
-        fmask = 0
-    dim = affine_rank([p.vertices[i] for i in ids])
-    return Face(vertex_ids=ids, dim=dim, facet_ids=_bits(fmask))
+    return Face(vertex_ids=ids, dim=affine_rank([p.vertices[i] for i in ids]))
 
 
 def enumerate_faces(p: Polytope) -> FaceLattice:

@@ -334,33 +334,34 @@ def build_polytope(rep: Union[HRep, VRep]) -> Polytope:
 
     H-input: the vertices are enumerated and the input halfspaces are the
     facet candidates.  V-input: the facets come from facets_from_vrep,
-    and an input point is a vertex exactly when the normals of the facets
-    through it have rank d, so no second enumeration is needed.  Either
-    way the result carries sorted vertices, an irredundant canonical
-    facet list, and the exact incidence table.
+    and one table of which facets pass through which input point gives
+    both the vertices (the points whose facet normals have rank d, so no
+    second enumeration is needed) and the incidence.  Either way the
+    result carries sorted vertices, an irredundant canonical facet list,
+    and the exact incidence table.
     """
+    if not isinstance(rep, (HRep, VRep)):
+        raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
+    d = rep.dim
     if isinstance(rep, HRep):
         verts = vertices_from_hrep(rep).vertices
-        candidates = _dedup_dominated(rep.halfspaces)
-    elif isinstance(rep, VRep):
-        candidates = facets_from_vrep(rep).halfspaces
-        verts = tuple(
-            v
-            for v in sorted(set(rep.vertices))
-            if rank([h.normal for h in candidates if h.boundary_contains(v)])
-            == rep.dim
-        )
+        kept = []
+        for h in _dedup_dominated(rep.halfspaces):
+            onset = tuple(i for i, v in enumerate(verts) if h.boundary_contains(v))
+            # a facet touches at least d vertices spanning a hyperplane
+            if len(onset) >= d and affine_rank([verts[i] for i in onset]) == d - 1:
+                kept.append((onset, h))
     else:
-        raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
-
-    d = rep.dim
-    kept = []
-    for h in candidates:
-        onset = tuple(i for i, v in enumerate(verts) if h.boundary_contains(v))
-        if len(onset) < d:
-            continue  # touches too few vertices to support a facet
-        if affine_rank([verts[i] for i in onset]) == d - 1:
-            kept.append((onset, h))
+        facets = facets_from_vrep(rep).halfspaces
+        verts = []
+        onsets = [[] for _ in facets]
+        for x in sorted(set(rep.vertices)):
+            through = [j for j, h in enumerate(facets) if h.boundary_contains(x)]
+            if rank([facets[j].normal for j in through]) == d:
+                for j in through:
+                    onsets[j].append(len(verts))
+                verts.append(x)
+        kept = [(tuple(onset), h) for onset, h in zip(onsets, facets)]
     kept.sort(key=lambda t: t[0])
 
     incidence = tuple(onset for onset, _ in kept)

@@ -2,23 +2,15 @@
 
 Every coordinate, offset, and solver pivot in this package is an
 arbitrary-precision rational, kept in lowest terms with a positive
-denominator.  Nothing here ever touches floating point.
-
-The scalar type is gmpy2.mpq when gmpy2 is importable (about an order of
-magnitude faster on elimination-heavy workloads) and fractions.Fraction
-otherwise.  Both normalise identically and print the same "p/q" / "p"
-form, so the choice is invisible to callers.
+denominator.  Nothing here ever touches floating point.  The scalar
+type Rational is fractions.Fraction, which prints as "p/q" or "p".
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction as Rational
 from typing import Iterable, Iterator, Optional, Sequence
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rational
 
 __all__ = [
     "Rational",

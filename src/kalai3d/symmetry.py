@@ -15,57 +15,18 @@ checks are exact set comparisons, never tolerance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .polytope import Polytope
 from .ratgeom import QVector
 
 __all__ = [
-    "OrthoBasis",
     "SymmetryReport",
     "standard_basis",
     "reflect",
     "is_centrally_symmetric",
     "verify_basis",
 ]
-
-
-@dataclass(frozen=True)
-class OrthoBasis:
-    """Pairwise-orthogonal nonzero rational vectors, one per dimension.
-
-    Construction enforces the invariants; code that needs to *report* a
-    bad basis instead of raising should hand the raw vectors to
-    verify_basis, which accepts plain sequences too.
-    """
-
-    vectors: tuple
-
-    def __post_init__(self):
-        vecs = tuple(
-            v if isinstance(v, QVector) else QVector(v) for v in self.vectors
-        )
-        if not vecs:
-            raise ValueError("basis needs at least one vector")
-        d = len(vecs[0])
-        if len(vecs) != d:
-            raise ValueError(f"{len(vecs)} vectors for dimension {d}")
-        for i, v in enumerate(vecs):
-            if len(v) != d:
-                raise ValueError("basis vectors of mixed lengths")
-            if v.is_zero():
-                raise ValueError(f"basis vector {i} is zero")
-        for i in range(d):
-            for j in range(i + 1, d):
-                if vecs[i].dot(vecs[j]) != 0:
-                    raise ValueError(f"basis vectors {i} and {j} not orthogonal")
-        object.__setattr__(self, "vectors", vecs)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -95,11 +56,11 @@ class SymmetryReport:
         }
 
 
-def standard_basis(dim: int) -> OrthoBasis:
+def standard_basis(dim: int) -> tuple:
     """The coordinate basis e_1 .. e_dim."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    return OrthoBasis(tuple(QVector.unit(dim, i) for i in range(dim)))
+    return tuple(QVector.unit(dim, i) for i in range(dim))
 
 
 def reflect(x: QVector, v: QVector) -> QVector:
@@ -120,23 +81,17 @@ def is_centrally_symmetric(p: Polytope) -> bool:
     return {-v for v in vset} == vset
 
 
-def verify_basis(
-    p: Polytope, basis: Union[OrthoBasis, Sequence]
-) -> SymmetryReport:
+def verify_basis(p: Polytope, basis: Sequence[QVector]) -> SymmetryReport:
     """Check every hypothesis the witness construction relies on.
 
-    Accepts an OrthoBasis or a raw vector sequence; raw sequences let a
-    caller report a non-orthogonal user-supplied basis as a failed check
-    instead of an exception.  Wrong vector count is still an error: there
-    is nothing meaningful to report against the wrong dimension.
+    This is the one check of a basis: a zero or non-orthogonal vector is
+    reported as a failed check, not raised, so a user-supplied basis
+    gets a report.  A wrong vector count or length is still an error:
+    there is nothing meaningful to report against the wrong dimension.
     """
-    if isinstance(basis, OrthoBasis):
-        vecs = basis.vectors
-    else:
-        vecs = tuple(v if isinstance(v, QVector) else QVector(v) for v in basis)
-    if len(vecs) != p.dim:
-        raise ValueError(f"expected {p.dim} basis vectors, got {len(vecs)}")
-    if any(len(v) != p.dim for v in vecs):
+    if len(basis) != p.dim:
+        raise ValueError(f"expected {p.dim} basis vectors, got {len(basis)}")
+    if any(len(v) != p.dim for v in basis):
         raise ValueError("basis vector length differs from polytope dimension")
 
     def report(failing: int, details: str) -> SymmetryReport:
@@ -150,16 +105,16 @@ def verify_basis(
             details=details,
         )
 
-    for i, v in enumerate(vecs):
+    for i, v in enumerate(basis):
         if v.is_zero():
             return report(i, f"basis vector {i} is zero")
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if vecs[i].dot(vecs[j]) != 0:
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if basis[i].dot(basis[j]) != 0:
                 return report(j, f"basis vectors {i} and {j} are not orthogonal")
 
     vset = set(p.vertices)
-    for i, v in enumerate(vecs):
+    for i, v in enumerate(basis):
         if {reflect(x, v) for x in vset} != vset:
             return report(
                 i,
@@ -173,6 +128,6 @@ def verify_basis(
         failing_vector=None,
         details=(
             "centrally symmetric; "
-            f"all {len(vecs)} reflection symmetries verified"
+            f"all {len(basis)} reflection symmetries verified"
         ),
     )

@@ -12,7 +12,7 @@ import pytest
 
 from kalai3d import cli
 from kalai3d.cli import main
-from kalai3d.fileio import format_basis_text, format_polytope_text, parse_polytope_text
+from kalai3d.fileio import format_polytope_text, parse_polytope_text
 from kalai3d.polytope import VRep, generate
 from kalai3d.ratgeom import QVector, rational
 
@@ -62,7 +62,7 @@ def hexagon_path(tmp_path):
 @pytest.fixture
 def diagonal_basis_path(tmp_path):
     path = tmp_path / "diag.basis"
-    path.write_text(format_basis_text((qv(1, -1), qv(1, 1))))
+    path.write_text("B 2\n1 -1\n1 1\n")
     return str(path)
 
 

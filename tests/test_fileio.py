@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from kalai3d.fileio import (
     ParseError,
-    format_basis_text,
     format_polytope_text,
     parse_basis_text,
     parse_polytope_text,
@@ -75,7 +74,7 @@ def test_file_io_roundtrip(tmp_path):
     assert read_polytope(str(poly_path)) == p.hrep()
 
     basis_path = tmp_path / "diag.basis"
-    basis_path.write_text(format_basis_text((qv(1, -1), qv(1, 1))), encoding="utf-8")
+    basis_path.write_text("B 2\n1 -1\n1 1\n", encoding="utf-8")
     assert read_basis(str(basis_path)) == (qv(1, -1), qv(1, 1))
 
 

@@ -2,7 +2,10 @@
 
 Every key in bench/golden.json is certified from its H-file, written by
 bench/corpus.py, and its certificate's sha256 must match the recorded
-one.  The tracer test pins each function bench/tracer.py replaces, so
+one.  One key of each family up to d = 3 is also certified from its
+V-file against the same hash, so the V path is held to the same bytes;
+the d = 5 keys stay H-only, since their V-input polar has C(32, 5)
+subsets.  The tracer test pins each function bench/tracer.py replaces, so
 that removing one fails here instead of in a traced benchmark run.
 """
 
@@ -25,6 +28,9 @@ import tracer  # noqa: E402
 from kalai3d import cli, kalai, lattice, polytope, simplex  # noqa: E402
 
 GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+V_FAMILIES = ("box", "cross", "octagon", "prism", "bipyramid", "triangle",
+              "hexagon", "diagbasis", "skewbasis")
+V_KEYS = [min(k for k in GOLDEN if k.split(":")[0] == fam) for fam in V_FAMILIES]
 
 
 @pytest.fixture(scope="module")
@@ -36,17 +42,26 @@ def test_golden_covers_every_key():
     assert sorted(GOLDEN) == sorted(corpus.golden_keys())
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_golden_certificate(writer, key):
+def certify_hash(writer, key, form):
     writer.ops.clear()
-    writer.keyed(key, ("h",))
+    writer.keyed(key, (form,))
     (op,) = writer.ops
     argv = [a if a.startswith("--") else str(writer.root / a) for a in op.argv[1:]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main([op.argv[0], *argv])
     assert code == op.exit_code
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[key]
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_certificate(writer, key):
+    assert certify_hash(writer, key, "h") == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", V_KEYS)
+def test_golden_certificate_from_v(writer, key):
+    assert certify_hash(writer, key, "v") == GOLDEN[key]
 
 
 def test_tracer_targets_exist():

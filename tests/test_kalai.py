@@ -29,8 +29,8 @@ def face_of(lat, *vertex_ids):
 
 def relint(face, subset, basis, p):
     """The witness LP with its dot table computed here from the basis."""
-    dots = [[v.dot(b) for b in basis.vectors] for v in p.vertices]
-    norms = [b.dot(b) for b in basis.vectors]
+    dots = [[v.dot(b) for b in basis] for v in p.vertices]
+    norms = [b.dot(b) for b in basis]
     return relint_meets_cone_interior(face, subset, dots, norms, p)
 
 
@@ -139,13 +139,13 @@ class TestInteriorInclusion:
         # lying inside the hyperplane of a selected direction.
         p = generate("cross_polytope", dim=2)
         # vertices sorted: 0=(-1,0) 1=(0,-1) 2=(0,1) 3=(1,0)
-        fake_face = Face(vertex_ids=(1, 2), dim=1, facet_ids=())
+        fake_face = Face(vertex_ids=(1, 2), dim=1)
         search = WitnessSearch(p, FaceLattice(2, [fake_face]), standard_basis(2))
         assert not search.inclusion_holds(0, SignedSubset((1, 0)))
 
     def test_mixed_sign_edge_fails(self, square):
         p, _, basis = square
-        fake_face = Face(vertex_ids=(0, 3), dim=1, facet_ids=())  # a diagonal
+        fake_face = Face(vertex_ids=(0, 3), dim=1)  # a diagonal
         search = WitnessSearch(p, FaceLattice(2, [fake_face]), basis)
         assert not search.inclusion_holds(0, SignedSubset((1, 0)))
 
@@ -190,12 +190,14 @@ class TestCertify:
         cert = certify(p, basis)
         for w in cert.witnesses:
             for i, s in w.subset.selected():
-                assert w.point.dot(s * basis.vectors[i]) > 0
+                assert w.point.dot(s * basis[i]) > 0
             for i in w.subset.unselected():
-                assert w.point.dot(basis.vectors[i]) == 0
+                assert w.point.dot(basis[i]) == 0
             for j, h in enumerate(p.halfspaces):
                 assert h.normal.dot(w.point) <= h.offset
-                assert h.boundary_contains(w.point) == (j in w.face.facet_ids)
+                assert h.boundary_contains(w.point) == (
+                    set(w.face.vertex_ids) <= set(p.incidence[j])
+                )
 
     def test_disjointness_mechanism(self):
         """A direction selected by one cone but not another is nonpositive
@@ -210,7 +212,7 @@ class TestCertify:
             out = []
             for i, s in a.subset.selected():
                 if b.subset.signs[i] != s:
-                    out.append(s * basis.vectors[i])
+                    out.append(s * basis[i])
             return out
 
         for a in ws:

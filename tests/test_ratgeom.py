@@ -1,9 +1,15 @@
 """Exact scalar/vector layer and the linear algebra on rows of vectors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kalai3d import ratgeom
 from kalai3d.ratgeom import (
     QVector,
     affine_rank,
@@ -26,6 +32,21 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60).map(
 
 
 class TestScalar:
+    def test_one_backend(self, tmp_path):
+        # an importable gmpy2 must not change the scalar type; this runs in
+        # a fresh interpreter so the stub cannot leak into other tests
+        (tmp_path / "gmpy2.py").write_text("mpq = object\n")
+        code = (
+            "import fractions, kalai3d.ratgeom as r; "
+            "assert r.Rational is fractions.Fraction, r.Rational"
+        )
+        src = Path(ratgeom.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_lowest_terms(self):
         assert rational(2, 4) == rational(1, 2)
         assert format_rational(rational(2, 4)) == "1/2"

@@ -8,7 +8,6 @@ from kalai3d.lattice import enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector, rational
 from kalai3d.symmetry import (
-    OrthoBasis,
     is_centrally_symmetric,
     reflect,
     standard_basis,
@@ -48,24 +47,14 @@ def triangle():
 
 
 class TestOrthoBasis:
+    """A basis is a plain tuple of QVector; verify_basis is its one check."""
+
     def test_standard(self):
-        b = standard_basis(3)
-        assert b.vectors == (e(3, 0), e(3, 1), e(3, 2))
-
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError, match="not orthogonal"):
-            OrthoBasis((qv(1, 0), qv(1, 1)))
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError, match="zero"):
-            OrthoBasis((qv(1, 0), qv(0, 0)))
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError):
-            OrthoBasis((qv(1, 0),))
+        assert standard_basis(3) == (e(3, 0), e(3, 1), e(3, 2))
 
     def test_scaling_allowed(self):
-        OrthoBasis((qv(2, 0), qv(0, rational(-1, 3))))
+        r = verify_basis(generate("cube", dim=2), (qv(2, 0), qv(0, rational(-1, 3))))
+        assert r.basis_verified
 
 
 class TestReflect:
@@ -195,7 +184,7 @@ class TestVerifyBasis:
     )
     def test_reflected_faces_are_faces(self, make, basis):
         p = make()
-        vecs = basis if basis is not None else standard_basis(p.dim).vectors
+        vecs = basis if basis is not None else standard_basis(p.dim)
         assert verify_basis(p, vecs).basis_verified
         lat = enumerate_faces(p)
         faces = {f.vertex_ids for f in lat.faces}
