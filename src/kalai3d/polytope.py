@@ -1,15 +1,14 @@
 """Polytopes with exact dual descriptions and the conversions between them.
 
-A polytope here is always bounded and full-dimensional.  Vertex
-enumeration is brute force over basic solutions: every full-rank d-subset
-of halfspace boundaries contributes one candidate point, and the feasible
-candidates are exactly the vertices.  That is the right tool at this
-package's scale (dimension up to about six, tens of halfspaces) and it
-keeps every step exact and auditable.  The reverse conversion goes
-through the polar polytope around the barycenter, so facets of the input
-are read off as vertices of the polar.  A V-input's vertices are then
-the input points whose tight facet normals have full rank, so each
-build runs one enumeration (H-input) or one polar enumeration (V-input).
+A polytope here is always bounded and full-dimensional.  One
+enumeration builds every Polytope: brute force over basic solutions, where
+every full-rank d-subset of halfspace boundaries gives one candidate point
+and the feasible candidates are exactly the vertices.  That is the right
+tool at this package's scale (dimension up to about six, tens of
+halfspaces) and keeps every step exact and auditable.  The rows tight at
+each vertex, recorded while testing feasibility, give the facets and the
+incidence.  A V-input is the same enumeration run on its polar around the
+barycenter, read back transposed: polar vertices are facets and vice versa.
 """
 
 from __future__ import annotations
@@ -72,9 +71,6 @@ class Halfspace:
         object.__setattr__(self, "offset", Rational(self.offset))
         if self.normal.is_zero():
             raise ValueError("halfspace normal must be nonzero")
-
-    def boundary_contains(self, point: QVector) -> bool:
-        return self.normal.dot(point) == self.offset
 
 
 def canonical_halfspace(h: Halfspace) -> Halfspace:
@@ -140,11 +136,12 @@ class VRep:
 class Polytope:
     """Bounded full-dimensional polytope with both exact descriptions.
 
-    Built through build_polytope, which establishes the invariants the
-    rest of the package leans on: vertices are sorted lexicographically
-    and are exactly the extreme points; halfspaces are canonical,
-    irredundant (each supports a facet), and sorted by their incident
-    vertex tuples; incidence[j] lists the vertex ids on facet j.
+    Built by vertices_from_hrep (directly, or on the polar through
+    facets_from_vrep), which establishes the invariants the rest of the
+    package leans on: vertices are sorted lexicographically and are
+    exactly the extreme points; halfspaces are canonical, irredundant
+    (each supports a facet), and sorted by their incident vertex tuples;
+    incidence[j] lists the vertex ids on facet j.
     """
 
     __slots__ = ("dim", "vertices", "halfspaces", "incidence", "_fmasks", "_vmasks")
@@ -237,8 +234,28 @@ def _recession_is_trivial(halfspaces: Sequence[Halfspace], dim: int) -> bool:
     return True
 
 
-def vertices_from_hrep(hrep: HRep) -> VRep:
-    """All vertices of the intersection, sorted lexicographically.
+def _assemble(d: int, verts: list, kept: list) -> Polytope:
+    """The Polytope of the (vertex ids, facet) pairs, sorted by vertex ids.
+
+    A RuntimeError here is a bug in this module, never a bad input.
+    """
+    kept.sort(key=lambda t: t[0])
+    incidence = tuple(onset for onset, _ in kept)
+    if len(set(incidence)) != len(incidence):
+        raise RuntimeError("two facets have the same vertex set")
+    p = Polytope(d, verts, tuple(h for _, h in kept), incidence)
+    if any(m.bit_count() < d for m in p.vertex_facet_masks):
+        raise RuntimeError(f"a vertex lies on fewer than {d} facets")
+    return p
+
+
+def vertices_from_hrep(hrep: HRep) -> Polytope:
+    """The polytope of an intersection of halfspaces.
+
+    Each full-rank d-subset of boundaries gives a basic point.  The pass
+    that accepts a feasible point records the rows tight at it; a point
+    already accepted is not tested again.  A canonical row is kept as a
+    facet when the vertices it is tight at have affine rank d - 1.
 
     Raises UnboundedError when the recession cone is nontrivial and
     DegenerateError when the intersection is empty or has affine rank
@@ -262,7 +279,7 @@ def vertices_from_hrep(hrep: HRep) -> VRep:
         if j is not None and j > i and offsets[i] != -offsets[j]:
             conflicts.add((i, j))
 
-    points = set()
+    tight = {}  # accepted basic point -> ids of the rows tight at it
     for subset in combinations(range(len(hs)), d):
         if any(
             (subset[a], subset[b]) in conflicts
@@ -275,34 +292,49 @@ def vertices_from_hrep(hrep: HRep) -> VRep:
         if len(pivots) != d or pivots[-1] == d:
             continue  # not a basic point: rank-deficient or inconsistent
         x = tuple(aug[r][-1] for r in range(d))
-        feasible = True
-        for row, off in zip(normal_rows, offsets):
+        if x in tight:
+            continue
+        on = []
+        for r, (row, off) in enumerate(zip(normal_rows, offsets)):
             s = Rational(0)
             for a, b in zip(row, x):
                 s += a * b
             if s > off:
-                feasible = False
                 break
-        if feasible:
-            points.add(x)
+            if s == off:
+                on.append(r)
+        else:
+            tight[x] = on
 
-    if not points:
+    if not tight:
         raise DegenerateError("empty: no feasible basic point exists")
-    verts = sorted(QVector(p) for p in points)
+    verts = sorted(QVector(x) for x in tight)
     if len(verts) < d + 1 or affine_rank(verts) < d:
         raise DegenerateError(
             f"lower-dimensional: affine rank below ambient dimension {d}"
         )
-    return VRep(d, verts)
+    onsets = [[] for _ in hs]
+    for i, v in enumerate(verts):
+        for r in tight[v.coords]:
+            onsets[r].append(i)
+    kept = [
+        (tuple(onset), h)
+        for onset, h in zip(onsets, hs)
+        # a facet touches at least d vertices spanning a hyperplane
+        if len(onset) >= d and affine_rank([verts[i] for i in onset]) == d - 1
+    ]
+    return _assemble(d, verts, kept)
 
 
-def facets_from_vrep(vrep: VRep) -> HRep:
-    """Irredundant facet halfspaces of the convex hull of the points.
+def facets_from_vrep(vrep: VRep) -> Polytope:
+    """The polytope of the convex hull of the points.
 
-    Works by polarity around the barycenter: after translating the
-    barycenter to the origin, vertices of the polar polytope correspond
-    exactly to facets of the hull.  Points that are not extreme only add
-    redundant polar constraints, so they are tolerated and dropped.
+    vertices_from_hrep builds the polar around the barycenter c, whose
+    rows are (p - c) . y <= 1, and its result is read back by duality:
+    each polar vertex y gives the facet y . x <= 1 + y . c, each polar
+    facet (n, o) gives the vertex c + n / o (exactly the point it came
+    from), and the incidence is the polar's, transposed.  A point that is
+    not extreme gives a redundant or dominated polar row and is dropped.
     """
     d = vrep.dim
     pts = sorted(set(vrep.vertices))
@@ -310,71 +342,38 @@ def facets_from_vrep(vrep: VRep) -> HRep:
         raise DegenerateError(
             f"lower-dimensional: affine rank below ambient dimension {d}"
         )
-    center = QVector.zero(d)
-    for p in pts:
-        center = center + p
-    center = rational(1, len(pts)) * center
+    center = rational(1, len(pts)) * sum(pts, QVector.zero(d))
 
-    polar_halfspaces = []
-    for p in pts:
-        shifted = p - center
-        if not shifted.is_zero():  # the barycenter itself is never extreme
-            polar_halfspaces.append(Halfspace(shifted, 1))
-    polar_vertices = vertices_from_hrep(HRep(d, polar_halfspaces)).vertices
+    # the barycenter itself is never extreme
+    polar_halfspaces = [Halfspace(p - center, 1) for p in pts if p != center]
+    polar = vertices_from_hrep(HRep(d, polar_halfspaces))
 
-    facets = [
-        canonical_halfspace(Halfspace(y, 1 + y.dot(center))) for y in polar_vertices
+    found = sorted(
+        (center + rational(1, h.offset) * h.normal, row)
+        for h, row in zip(polar.halfspaces, polar.incidence)
+    )
+    onsets = [[] for _ in polar.vertices]
+    for i, (_, row) in enumerate(found):
+        for k in row:
+            onsets[k].append(i)
+    kept = [
+        (tuple(onset), canonical_halfspace(Halfspace(y, 1 + y.dot(center))))
+        for onset, y in zip(onsets, polar.vertices)
     ]
-    facets.sort(key=lambda h: (h.normal.coords, h.offset))
-    return HRep(d, facets)
+    return _assemble(d, [v for v, _ in found], kept)
 
 
 def build_polytope(rep: Union[HRep, VRep]) -> Polytope:
     """Validate a representation and assemble the dual description.
 
-    H-input: the vertices are enumerated and the input halfspaces are the
-    facet candidates.  V-input: the facets come from facets_from_vrep,
-    and one table of which facets pass through which input point gives
-    both the vertices (the points whose facet normals have rank d, so no
-    second enumeration is needed) and the incidence.  Either way the
-    result carries sorted vertices, an irredundant canonical facet list,
-    and the exact incidence table.
+    An HRep goes to vertices_from_hrep, a VRep to facets_from_vrep, which
+    runs the same enumeration on the polar.
     """
-    if not isinstance(rep, (HRep, VRep)):
-        raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
-    d = rep.dim
     if isinstance(rep, HRep):
-        verts = vertices_from_hrep(rep).vertices
-        kept = []
-        for h in _dedup_dominated(rep.halfspaces):
-            onset = tuple(i for i, v in enumerate(verts) if h.boundary_contains(v))
-            # a facet touches at least d vertices spanning a hyperplane
-            if len(onset) >= d and affine_rank([verts[i] for i in onset]) == d - 1:
-                kept.append((onset, h))
-    else:
-        facets = facets_from_vrep(rep).halfspaces
-        verts = []
-        onsets = [[] for _ in facets]
-        for x in sorted(set(rep.vertices)):
-            through = [j for j, h in enumerate(facets) if h.boundary_contains(x)]
-            if rank([facets[j].normal for j in through]) == d:
-                for j in through:
-                    onsets[j].append(len(verts))
-                verts.append(x)
-        kept = [(tuple(onset), h) for onset, h in zip(onsets, facets)]
-    kept.sort(key=lambda t: t[0])
-
-    incidence = tuple(onset for onset, _ in kept)
-    if len(set(incidence)) != len(incidence):
-        raise RuntimeError("two facets have the same vertex set")
-    counts = [0] * len(verts)
-    for onset in incidence:
-        for i in onset:
-            counts[i] += 1
-    if any(c < d for c in counts):
-        raise RuntimeError(f"a vertex lies on fewer than {d} facets")
-
-    return Polytope(d, verts, tuple(h for _, h in kept), incidence)
+        return vertices_from_hrep(rep)
+    if isinstance(rep, VRep):
+        return facets_from_vrep(rep)
+    raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
 
 
 def _cube(dim: int) -> HRep:

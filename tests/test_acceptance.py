@@ -174,9 +174,11 @@ def test_criterion_8_exact_roundtrips(oracle_instances, sweep_instances):
             build_polytope(VRep(2, HEXAGON_POINTS)),
         ]
         for p in (*named, *oracle_instances, *sweep_instances):
-            hrep = facets_from_vrep(VRep(p.dim, p.vertices))
+            hrep = facets_from_vrep(VRep(p.dim, p.vertices)).hrep()
             again = vertices_from_hrep(hrep)
             assert again.vertices == p.vertices
+            assert again.halfspaces == p.halfspaces
+            assert again.incidence == p.incidence
 
         rng = random.Random(8)
 

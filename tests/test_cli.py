@@ -5,8 +5,10 @@ test for the module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,8 +284,10 @@ def test_selftest(run):
 
 
 def test_module_entry_point(cross3_path):
+    src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "kalai3d", "fvector", cross3_path],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True,
     )
     assert proc.returncode == 0

@@ -195,7 +195,7 @@ class TestCertify:
                 assert w.point.dot(basis[i]) == 0
             for j, h in enumerate(p.halfspaces):
                 assert h.normal.dot(w.point) <= h.offset
-                assert h.boundary_contains(w.point) == (
+                assert (h.normal.dot(w.point) == h.offset) == (
                     set(w.face.vertex_ids) <= set(p.incidence[j])
                 )
 

@@ -1,10 +1,13 @@
 """Face lattice enumeration against frozen counts and the LP oracle."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from kalai3d import lattice
 from kalai3d.lattice import _bits, _closure_mask, brute_force_faces, enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector, rational
@@ -77,8 +80,10 @@ class TestEnumerateFaces:
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_broken_incidence_raises(self, flags):
         """The invariant holds under python -O, which strips asserts."""
+        src = Path(lattice.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, *flags, "-c", BROKEN_SQUARE],
+            env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True,
         )
         assert proc.stdout == f"{not flags} vertex 0 is not its own closure\n"
@@ -140,7 +145,7 @@ class TestRelintPoint:
             x = rational(1, len(f.vertex_ids)) * x
             for j, h in enumerate(p.halfspaces):
                 assert h.normal.dot(x) <= h.offset
-                assert h.boundary_contains(x) == (
+                assert (h.normal.dot(x) == h.offset) == (
                     set(f.vertex_ids) <= set(p.incidence[j])
                 )
 

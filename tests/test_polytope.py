@@ -50,10 +50,6 @@ class TestHalfspace:
         assert h.normal == qv(0, 1)
         assert h.offset == rational(1, 2)
 
-    def test_contains(self):
-        h = hspace((1, 0), 1)
-        assert h.boundary_contains(qv(1, -7))
-
 
 class TestReps:
     def test_hrep_validation(self):
@@ -134,17 +130,37 @@ class TestFacetsFromVRep:
         p = build_polytope(VRep(2, pts))
         assert p.vertices == (qv(0, 0), qv(0, 2), qv(2, 0))
 
-    def test_cube3_from_points_matches_h_input(self):
-        """A point inside an edge lies on two facets and is still dropped."""
-        corners = [qv(*c) for c in product((1, -1), repeat=3)]
-        extra = [
-            qv(1, 1, rational(1, 3)),  # relative interior of an edge
-            qv(1, rational(1, 2), rational(-1, 2)),  # relative interior of a facet
-            qv(rational(1, 2), 0, rational(-1, 3)),  # interior
-            qv(-1, -1, -1),  # a vertex again
-        ]
-        p = build_polytope(VRep(3, corners + extra))
-        h = generate("cube", dim=3)
+    @pytest.mark.parametrize(
+        "make, extra",
+        [
+            (
+                lambda: generate("cube", dim=3),
+                [
+                    qv(1, 1, rational(1, 3)),  # inside an edge
+                    qv(1, rational(1, 2), rational(-1, 2)),  # inside a facet
+                    qv(rational(1, 2), 0, rational(-1, 3)),  # interior
+                    qv(-1, -1, -1),  # a vertex again
+                ],
+            ),
+            # every vertex of the H-input lies on 8 facets, so most basic
+            # points are found again from other 4-subsets
+            (lambda: build_polytope(generate("cross_polytope", dim=4).hrep()), []),
+            (lambda: generate("random_reflection_symmetric", dim=3, m=2, seed=1), []),
+            (lambda: generate("random_reflection_symmetric", dim=4, m=1, seed=1), []),
+        ],
+        ids=["cube3", "cross4", "random3", "random4"],
+    )
+    def test_from_points_matches_h_input(self, make, extra):
+        """Non-extreme points are dropped: a point inside an edge lies on
+        two facets, and a point strictly between the barycenter and a
+        vertex gives a polar row dominated by the vertex's own row."""
+        h = make()
+        pts = list(h.vertices) + extra
+        distinct = set(pts)
+        center = rational(1, len(distinct)) * sum(distinct, QVector.zero(h.dim))
+        # on the segment from the padded set's barycenter to a vertex, too
+        pts.append(rational(1, 2) * (center + h.vertices[0]))
+        p = build_polytope(VRep(h.dim, tuple(pts)))
         assert p.vertices == h.vertices
         assert p.halfspaces == h.halfspaces
         assert p.incidence == h.incidence
@@ -196,7 +212,7 @@ class TestBuildPolytope:
         p = generate("cube", dim=3)
         for j, h in enumerate(p.halfspaces):
             expected = tuple(
-                i for i, v in enumerate(p.vertices) if h.boundary_contains(v)
+                i for i, v in enumerate(p.vertices) if h.normal.dot(v) == h.offset
             )
             assert p.incidence[j] == expected
 
