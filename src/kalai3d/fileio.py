@@ -120,6 +120,18 @@ def _parse_table(text: str, path: str, kinds: tuple):
     return lines, lineno, header, kind
 
 
+def _body(lines, count: int, path: str, what: str):
+    """The lines after the header, which must number exactly count."""
+    body = lines[1:]
+    if len(body) != count:
+        where = body[count][0] if len(body) > count else lines[-1][0] + 1
+        raise ParseError(
+            f"expected {count} {what} rows, found {len(body)}",
+            path=path, line=where,
+        )
+    return body
+
+
 def parse_polytope_text(text: str, path: str = "<input>") -> Union[HRep, VRep]:
     """Parse "H d m" / "V d m" plus m data rows into a representation.
 
@@ -135,14 +147,7 @@ def parse_polytope_text(text: str, path: str = "<input>") -> Union[HRep, VRep]:
     dim = _parse_header_int(header[1], path, lineno, "dimension", 1)
     m = _parse_header_int(header[2], path, lineno, "row count", 1)
 
-    body = lines[1:]
-    if len(body) != m:
-        where = body[m][0] if len(body) > m else (body[-1][0] + 1 if body else lineno + 1)
-        raise ParseError(
-            f"expected {m} data rows, found {len(body)}",
-            path=path, line=where,
-        )
-
+    body = _body(lines, m, path, "data")
     width = dim + 1 if kind == "H" else dim
     rows = [
         _parse_row(tokens, width, path, ln, "data")
@@ -175,15 +180,9 @@ def parse_basis_text(text: str, path: str = "<input>") -> tuple:
             path=path, line=lineno, col=header[0][0],
         )
     dim = _parse_header_int(header[1], path, lineno, "dimension", 1)
-    body = lines[1:]
-    if len(body) != dim:
-        where = body[dim][0] if len(body) > dim else (body[-1][0] + 1 if body else lineno + 1)
-        raise ParseError(
-            f"expected {dim} basis rows, found {len(body)}",
-            path=path, line=where,
-        )
     return tuple(
-        QVector(_parse_row(tokens, dim, path, ln, "basis")) for ln, tokens in body
+        QVector(_parse_row(tokens, dim, path, ln, "basis"))
+        for ln, tokens in _body(lines, dim, path, "basis")
     )
 
 
@@ -197,34 +196,26 @@ def read_basis(path: str) -> tuple:
         return parse_basis_text(fh.read(), path=path)
 
 
+def _table(rep: Union[HRep, VRep]):
+    """(kind, rows of rational strings): an H row is normal then offset."""
+    if isinstance(rep, HRep):
+        return "H", [
+            [format_rational(c) for c in (*h.normal, h.offset)]
+            for h in rep.halfspaces
+        ]
+    if isinstance(rep, VRep):
+        return "V", [[format_rational(c) for c in v] for v in rep.vertices]
+    raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
+
+
 def format_polytope_text(rep: Union[HRep, VRep]) -> str:
     """Serialize a representation back to the text format."""
-    if isinstance(rep, HRep):
-        lines = [f"H {rep.dim} {len(rep.halfspaces)}"]
-        for h in rep.halfspaces:
-            cells = [format_rational(c) for c in h.normal]
-            cells.append(format_rational(h.offset))
-            lines.append(" ".join(cells))
-    elif isinstance(rep, VRep):
-        lines = [f"V {rep.dim} {len(rep.vertices)}"]
-        for v in rep.vertices:
-            lines.append(" ".join(format_rational(c) for c in v))
-    else:
-        raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
+    kind, rows = _table(rep)
+    lines = [f"{kind} {rep.dim} {len(rows)}"] + [" ".join(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def polytope_json_dict(rep: Union[HRep, VRep]) -> dict:
     """The same table as JSON: {"kind", "dim", "rows"} with string cells."""
-    if isinstance(rep, HRep):
-        rows = [
-            [format_rational(c) for c in h.normal] + [format_rational(h.offset)]
-            for h in rep.halfspaces
-        ]
-        kind = "H"
-    elif isinstance(rep, VRep):
-        rows = [[format_rational(c) for c in v] for v in rep.vertices]
-        kind = "V"
-    else:
-        raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
+    kind, rows = _table(rep)
     return {"kind": kind, "dim": rep.dim, "rows": rows}

@@ -1,13 +1,13 @@
 """The witness construction: cones, minimal witness faces, certificates.
 
 For an orthogonal basis b_1..b_d, every sign vector in {+1,-1,0}^d other
-than all-zero names a cone: nonnegative combinations of the selected
-signed basis vectors.  There are 3^d - 1 of them.  For each cone this
-module finds the face of minimal dimension whose relative interior meets
-the cone's relative interior, checks the strict-inclusion condition on
-that face by vertex signs, and checks that distinct cones received
-distinct faces.  Together with the polytope itself that exhibits 3^d
-distinct nonempty faces, which is the whole point.
+than all-zero names a cone: the combinations with weights >= 0 of the
+selected signed basis vectors.  There are 3^d - 1 of them.  For each
+cone this module finds the face of minimal dimension whose relative
+interior meets the cone's relative interior, checks the strict-inclusion
+condition on that face by vertex signs, and checks that distinct cones
+received distinct faces.  Together with the polytope itself that
+exhibits 3^d distinct nonempty faces, which is the whole point.
 
 Everything is exact: the meeting question is one rational LP per
 (face, cone) pair, and all recorded points are rational.
@@ -99,19 +99,16 @@ def relint_meets_cone_interior(
     ids = face.vertex_ids
     k = len(ids)
 
-    m = simplex.Model()
-    mu = [m.var(nonneg=True) for _ in range(k)]
-    eps = m.var(nonneg=True)
-
-    m.constrain({**{mu[j]: 1 for j in range(k)}, eps: k}, "==", 1)
+    m = simplex.Model(k + 1)  # mu_1..mu_k, then eps
+    m.constrain([1] * k + [k], "==", 1)
     for i, s in subset.selected():
         row = [s * dots[v][i] for v in ids]
-        m.constrain({**dict(zip(mu, row)), eps: sum(row) - norms[i]}, ">=", 0)
+        m.constrain(row + [sum(row) - norms[i]], ">=", 0)
     for i in subset.unselected():
         row = [dots[v][i] for v in ids]
-        m.constrain({**dict(zip(mu, row)), eps: sum(row)}, "==", 0)
+        m.constrain(row + [sum(row)], "==", 0)
 
-    result = m.maximize({eps: 1})
+    result = m.maximize([0] * k + [1])
     if result.status == simplex.INFEASIBLE:
         return None
     if result.status != simplex.OPTIMAL:

@@ -180,17 +180,11 @@ def _supports_exactly(p: Polytope, member_ids: frozenset, comp_basis: list) -> b
     base = verts[min(member_ids)]
     others = [i for i in range(len(verts)) if i not in member_ids]
 
-    m = simplex.Model()
-    lam = {i: m.var(nonneg=True) for i in others}
-    m.constrain({v: 1 for v in lam.values()}, "==", 1)
+    m = simplex.Model(len(others))  # one weight per other vertex
+    m.constrain([1] * len(others), "==", 1)
     for u in comp_basis:
-        coeffs = {}
-        for i in others:
-            c = verts[i].dot(u)
-            if c:
-                coeffs[lam[i]] = c
-        m.constrain(coeffs, "==", base.dot(u))
-    return m.maximize({}).status == simplex.INFEASIBLE
+        m.constrain([verts[i].dot(u) for i in others], "==", base.dot(u))
+    return m.maximize([0] * len(others)).status == simplex.INFEASIBLE
 
 
 def brute_force_faces(p: Polytope) -> FaceLattice:

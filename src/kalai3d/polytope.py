@@ -212,26 +212,22 @@ def _dedup_dominated(halfspaces: Iterable[Halfspace]) -> list:
 def _recession_is_trivial(halfspaces: Sequence[Halfspace], dim: int) -> bool:
     """Whether {x : n_i . x <= 0 for all i} is just the origin.
 
-    When every normal appears together with its negation (true for every
-    centrally symmetric description) the recession cone is the kernel of
-    the normal matrix, so a rank computation settles it.  Otherwise fall
-    back to 2d exact feasibility probes, one per signed coordinate
-    direction.
+    By Farkas' lemma that holds exactly when the normals positively span
+    R^dim: they have rank dim and some weights w_i >= 1 give
+    sum_i w_i n_i = 0.  With w_i = 1 + mu_i that is one LP over mu >= 0,
+    sum_i mu_i n_i = -sum_i n_i.  When the normals already sum to zero,
+    as they do whenever they come in +/- pairs, mu = 0 solves it.
     """
-    normal_keys = {h.normal.coords for h in halfspaces}
-    if all((-h.normal).coords in normal_keys for h in halfspaces):
-        return rank([h.normal for h in halfspaces]) == dim
-
-    for j, sign in product(range(dim), (1, -1)):
-        m = simplex.Model()
-        xs = [m.var() for _ in range(dim)]
-        for h in halfspaces:
-            coeffs = {xs[i]: h.normal[i] for i in range(dim) if h.normal[i]}
-            m.constrain(coeffs, "<=", 0)
-        m.constrain({xs[j]: 1}, "==", sign)
-        if m.maximize({}).status == simplex.OPTIMAL:
-            return False
-    return True
+    normals = [h.normal for h in halfspaces]
+    if rank(normals) < dim:
+        return False
+    total = sum(normals, QVector.zero(dim))
+    if total.is_zero():
+        return True
+    m = simplex.Model(len(normals))
+    for column, t in zip(zip(*normals), total):
+        m.constrain(column, "==", -t)
+    return m.maximize([0] * len(normals)).status == simplex.OPTIMAL
 
 
 def _assemble(d: int, verts: list, kept: list) -> Polytope:
@@ -253,9 +249,10 @@ def vertices_from_hrep(hrep: HRep) -> Polytope:
     """The polytope of an intersection of halfspaces.
 
     Each full-rank d-subset of boundaries gives a basic point.  The pass
-    that accepts a feasible point records the rows tight at it; a point
-    already accepted is not tested again.  A canonical row is kept as a
-    facet when the vertices it is tight at have affine rank d - 1.
+    that tests a point records the rows tight at it, or None when some
+    row rejects it; a point already tested is not tested again.  A
+    canonical row is kept as a facet when the vertices it is tight at
+    have affine rank d - 1.
 
     Raises UnboundedError when the recession cone is nontrivial and
     DegenerateError when the intersection is empty or has affine rank
@@ -279,7 +276,7 @@ def vertices_from_hrep(hrep: HRep) -> Polytope:
         if j is not None and j > i and offsets[i] != -offsets[j]:
             conflicts.add((i, j))
 
-    tight = {}  # accepted basic point -> ids of the rows tight at it
+    tight = {}  # basic point -> ids of the rows tight at it, None if infeasible
     for subset in combinations(range(len(hs)), d):
         if any(
             (subset[a], subset[b]) in conflicts
@@ -300,15 +297,15 @@ def vertices_from_hrep(hrep: HRep) -> Polytope:
             for a, b in zip(row, x):
                 s += a * b
             if s > off:
+                on = None
                 break
             if s == off:
                 on.append(r)
-        else:
-            tight[x] = on
+        tight[x] = on
 
-    if not tight:
+    verts = sorted(QVector(x) for x, on in tight.items() if on is not None)
+    if not verts:
         raise DegenerateError("empty: no feasible basic point exists")
-    verts = sorted(QVector(x) for x in tight)
     if len(verts) < d + 1 or affine_rank(verts) < d:
         raise DegenerateError(
             f"lower-dimensional: affine rank below ambient dimension {d}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Rational
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Rational",
@@ -20,7 +20,6 @@ __all__ = [
     "QVector",
     "rank",
     "affine_rank",
-    "solve_linear",
     "kernel_basis",
 ]
 
@@ -193,26 +192,6 @@ def affine_rank(points: Sequence[QVector]) -> int:
 def rank(rows: Sequence[QVector]) -> int:
     """Rank of the matrix with the given rows."""
     return len(_reduced_echelon([list(r.coords) for r in rows]))
-
-
-def solve_linear(rows: Sequence[QVector], b: QVector) -> Optional[QVector]:
-    """One exact solution of A x = b, or None when the system is inconsistent.
-
-    A is given by its rows.  When the solution space has positive
-    dimension the free variables are set to zero, so the returned point
-    is still deterministic.
-    """
-    if len(b) != len(rows):
-        raise ValueError(f"dimension mismatch: {len(rows)} rows vs {len(b)} rhs")
-    ncols = len(rows[0])
-    aug = [list(row.coords) + [b[i]] for i, row in enumerate(rows)]
-    pivots = _reduced_echelon(aug)
-    if pivots and pivots[-1] == ncols:
-        return None  # a pivot in the rhs column means 0 = nonzero
-    x = [Rational(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][-1]
-    return QVector(x)
 
 
 def kernel_basis(rows: Sequence[QVector]) -> list:

@@ -1,10 +1,10 @@
 """Exact two-phase simplex over the rationals.
 
-Internal machinery: the geometric modules use this for boundedness tests,
-for deciding whether a relative interior meets an open cone, and for the
-definition-level face oracle.  It is not meant as a general modelling
-interface, so the Model class stays minimal: free or nonnegative
-variables, linear constraints, maximize.
+Internal machinery: the geometric modules use this for the boundedness
+test, for deciding whether a relative interior meets an open cone, and
+for the definition-level face oracle.  All three need the same shape of
+LP, so Model has exactly that shape: nvars variables, each >= 0, dense
+rows with sense ">=" or "==", and one dense objective to maximize.
 
 Pivoting follows Bland's rule (smallest eligible column enters, ties on
 the leaving row broken by smallest basic variable), which terminates on
@@ -15,7 +15,7 @@ rationals, so OPTIMAL / INFEASIBLE / UNBOUNDED are decided, not estimated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .ratgeom import Rational
 
@@ -23,11 +23,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-LE = "<="
 GE = ">="
 EQ = "=="
-
-_SENSES = (LE, GE, EQ)
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,7 @@ class LPResult:
     """Outcome of Model.maximize.
 
     value and x are None unless status == OPTIMAL; x holds one optimal
-    assignment for the model's variables in creation order.
+    assignment, in variable order.
     """
 
     status: str
@@ -44,93 +41,51 @@ class LPResult:
 
 
 class Model:
-    """A small exact LP: variables, linear constraints, one maximize call."""
+    """max c.x subject to dense rows over x >= 0, with x of length nvars.
 
-    def __init__(self) -> None:
-        self._nonneg: list[bool] = []
-        self._rows: list[tuple[dict, str, object]] = []
+    Tableau columns: the variables first, then one surplus column per
+    ">=" row in row order; _solve appends the artificials.
+    """
 
-    def var(self, *, nonneg: bool = False) -> int:
-        """Add a variable (free by default) and return its index."""
-        self._nonneg.append(nonneg)
-        return len(self._nonneg) - 1
+    def __init__(self, nvars: int) -> None:
+        self._nvars = nvars
+        self._rows: list[tuple[list, str, object]] = []
 
-    def constrain(self, coeffs: dict, sense: str, rhs) -> None:
-        """Add sum(coeffs[i] * x_i) <sense> rhs with sense in {<=, >=, ==}."""
-        if sense not in _SENSES:
+    def constrain(self, row: Sequence, sense: str, rhs) -> None:
+        """Add row . x <sense> rhs with sense in {>=, ==}."""
+        if sense not in (GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
-        clean = {}
-        for idx, c in coeffs.items():
-            if not 0 <= idx < len(self._nonneg):
-                raise ValueError(f"unknown variable index {idx}")
-            c = Rational(c)
-            if c:
-                clean[idx] = c
-        self._rows.append((clean, sense, Rational(rhs)))
+        if len(row) != self._nvars:
+            raise ValueError(
+                f"row of length {len(row)} for {self._nvars} variables"
+            )
+        self._rows.append(([Rational(c) for c in row], sense, Rational(rhs)))
 
-    def maximize(self, objective: dict) -> LPResult:
-        """Solve max objective subject to the recorded constraints."""
-        for idx in objective:
-            if not 0 <= idx < len(self._nonneg):
-                raise ValueError(f"unknown variable index {idx}")
-
-        # Column layout: each nonnegative variable gets one column, each
-        # free variable a plus/minus pair.  Slack and surplus columns for
-        # the inequality rows follow; artificials are appended by _solve.
-        col_of: list[tuple[int, Optional[int]]] = []
-        for nonneg in self._nonneg:
-            start = _next(col_of)
-            col_of.append((start, None) if nonneg else (start, start + 1))
-        nstruct = _next(col_of)
-
-        nslack = sum(1 for _, sense, _ in self._rows if sense != EQ)
-        width = nstruct + nslack
+    def maximize(self, objective: Sequence) -> LPResult:
+        """Solve max objective . x subject to the recorded constraints."""
+        n = self._nvars
+        if len(objective) != n:
+            raise ValueError(
+                f"objective of length {len(objective)} for {n} variables"
+            )
+        nsurplus = sum(1 for _, sense, _ in self._rows if sense == GE)
         rows = []
         rhs = []
-        slack_at = nstruct
+        surplus_at = n
         for coeffs, sense, b in self._rows:
-            row = [Rational(0)] * width
-            for idx, c in coeffs.items():
-                pos, neg = col_of[idx]
-                row[pos] = c
-                if neg is not None:
-                    row[neg] = -c
-            if sense == LE:
-                row[slack_at] = Rational(1)
-                slack_at += 1
-            elif sense == GE:
-                row[slack_at] = Rational(-1)
-                slack_at += 1
+            row = coeffs + [Rational(0)] * nsurplus
+            if sense == GE:
+                row[surplus_at] = Rational(-1)
+                surplus_at += 1
             rows.append(row)
             rhs.append(b)
-
-        cost = [Rational(0)] * width
-        for idx, c in objective.items():
-            c = Rational(c)
-            pos, neg = col_of[idx]
-            # minimize the negated objective
-            cost[pos] -= c
-            if neg is not None:
-                cost[neg] += c
+        # minimize the negated objective
+        cost = [-Rational(c) for c in objective] + [Rational(0)] * nsurplus
 
         status, xcols, minvalue = _solve(rows, rhs, cost)
         if status != OPTIMAL:
             return LPResult(status=status)
-        x = []
-        for pos, neg in col_of:
-            val = xcols[pos]
-            if neg is not None:
-                val = val - xcols[neg]
-            x.append(val)
-        return LPResult(status=OPTIMAL, value=-minvalue, x=tuple(x))
-
-
-def _next(col_of: list) -> int:
-    """Index of the next unused column given the mapping built so far."""
-    if not col_of:
-        return 0
-    pos, neg = col_of[-1]
-    return (neg if neg is not None else pos) + 1
+        return LPResult(status=OPTIMAL, value=-minvalue, x=tuple(xcols[:n]))
 
 
 def _solve(rows: list, rhs: list, cost: list):
@@ -142,13 +97,6 @@ def _solve(rows: list, rhs: list, cost: list):
     """
     m = len(rows)
     n = len(cost)
-    if m == 0:
-        # No constraints at all: optimum is 0 unless some cost coefficient
-        # is negative, in which case that column is unbounded.
-        if any(c < 0 for c in cost):
-            return UNBOUNDED, None, None
-        return OPTIMAL, [Rational(0)] * n, Rational(0)
-
     tableau = []
     for i, row in enumerate(rows):
         full = list(row)

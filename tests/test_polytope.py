@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kalai3d import simplex
 from kalai3d.polytope import (
     DegenerateError,
     Halfspace,
@@ -15,6 +16,7 @@ from kalai3d.polytope import (
     VRep,
     build_polytope,
     canonical_halfspace,
+    _recession_is_trivial,
     facets_from_vrep,
     generate,
     vertices_from_hrep,
@@ -91,6 +93,22 @@ class TestVerticesFromHRep:
         hs = tuple(hspace(n, 1) for n in ((1, 1), (1, 0), (0, 1)))
         with pytest.raises(UnboundedError):
             vertices_from_hrep(HRep(2, hs))
+
+    @pytest.mark.parametrize(
+        "last, corners",
+        [
+            # the normals sum to zero: no LP needed
+            ((-1, -1), ((-2, 1), (1, -2), (1, 1))),
+            # they sum to zero only with weights (1, 2, 1): the LP finds them
+            ((-1, -2), ((-3, 1), (1, -1), (1, 1))),
+        ],
+        ids=["sum0", "lp"],
+    )
+    def test_bounded_without_antiparallel_pairs(self, last, corners):
+        hs = tuple(hspace(n, 1) for n in ((1, 0), (0, 1), last))
+        p = vertices_from_hrep(HRep(2, hs))
+        assert p.vertices == tuple(qv(*c) for c in corners)
+        assert len(p.halfspaces) == 3
 
     def test_empty(self):
         with pytest.raises(DegenerateError, match="empty"):
@@ -302,3 +320,42 @@ def test_hull_of_symmetric_points_roundtrips(raw):
         assert any(
             i in row and len(row) < len(p.vertices) for row in p.incidence
         )
+
+
+def _recession_by_probes(halfspaces, d):
+    """Reference: probe {x : n . x <= 0} along each signed coordinate
+    direction, with each free x_i split as x_i+ - x_i-."""
+    for j, sign in product(range(d), (1, -1)):
+        m = simplex.Model(2 * d)
+        for h in halfspaces:
+            n = list(h.normal)
+            m.constrain([-c for c in n] + n, ">=", 0)
+        unit = [int(i == j) for i in range(d)]
+        m.constrain(unit + [-c for c in unit], "==", sign)
+        if m.maximize([0] * (2 * d)).status == simplex.OPTIMAL:
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(
+                st.lists(
+                    st.integers(min_value=-2, max_value=2), min_size=d, max_size=d
+                ).filter(any),
+                min_size=1,
+                max_size=7,
+            ),
+        )
+    ),
+    st.booleans(),
+)
+def test_recession_test_matches_coordinate_probes(case, paired):
+    d, normals = case
+    if paired:
+        normals = normals + [[-c for c in n] for n in normals]
+    hs = [hspace(n, 1) for n in normals]
+    assert _recession_is_trivial(hs, d) == _recession_by_probes(hs, d)

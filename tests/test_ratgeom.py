@@ -18,7 +18,6 @@ from kalai3d.ratgeom import (
     parse_rational,
     rank,
     rational,
-    solve_linear,
 )
 
 
@@ -134,37 +133,6 @@ class TestAffineRank:
         shuffled = list(pts)
         rng.shuffle(shuffled)
         assert affine_rank([p + t for p in shuffled]) == base
-
-
-class TestSolve:
-    def test_identity(self):
-        x = solve_linear([qv(1, 0), qv(0, 1)], qv(3, rational(1, 2)))
-        assert x == qv(3, rational(1, 2))
-
-    def test_inconsistent(self):
-        assert solve_linear([qv(1, 1), qv(2, 2)], qv(1, 3)) is None
-
-    def test_underdetermined_still_solves(self):
-        x = solve_linear([qv(1, 1)], qv(5))
-        assert x is not None
-        assert qv(1, 1).dot(x) == 5
-
-    def test_square_cube_corner(self):
-        rows = [qv(1, 0, 0), qv(0, 1, 0), qv(0, 0, 1)]
-        assert solve_linear(rows, qv(1, 1, 1)) == qv(1, 1, 1)
-
-    @given(
-        st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4),
-        st.lists(rationals, min_size=3, max_size=3),
-    )
-    def test_solution_satisfies_system(self, rows, xin):
-        rows = [QVector(r) for r in rows]
-        xtrue = QVector(xin)
-        b = QVector([r.dot(xtrue) for r in rows])
-        x = solve_linear(rows, b)
-        assert x is not None  # consistent by construction
-        for row, rhs in zip(rows, b):
-            assert row.dot(x) == rhs
 
 
 class TestKernel:

@@ -1,21 +1,21 @@
 """Exact simplex solver, including the classic cycling example."""
 
+from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kalai3d.ratgeom import QVector, rational, solve_linear
+from kalai3d.ratgeom import rational
 from kalai3d.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Model
 
 
 def test_box_corner():
-    m = Model()
-    x = m.var(nonneg=True)
-    y = m.var(nonneg=True)
-    m.constrain({x: 1}, "<=", 1)
-    m.constrain({y: 1}, "<=", 2)
-    r = m.maximize({x: 1, y: 1})
+    m = Model(2)
+    m.constrain([-1, 0], ">=", -1)
+    m.constrain([0, -1], ">=", -2)
+    r = m.maximize([1, 1])
     assert r.status == OPTIMAL
     assert r.value == 3
     assert r.x == (1, 2)
@@ -23,60 +23,48 @@ def test_box_corner():
 
 def test_exact_fractional_optimum():
     # max x + y st 2x + y <= 1, x + 3y <= 1 -> meets at (2/5, 1/5)
-    m = Model()
-    x = m.var(nonneg=True)
-    y = m.var(nonneg=True)
-    m.constrain({x: 2, y: 1}, "<=", 1)
-    m.constrain({x: 1, y: 3}, "<=", 1)
-    r = m.maximize({x: 1, y: 1})
+    m = Model(2)
+    m.constrain([-2, -1], ">=", -1)
+    m.constrain([-1, -3], ">=", -1)
+    r = m.maximize([1, 1])
     assert r.status == OPTIMAL
     assert r.value == rational(3, 5)
     assert r.x == (rational(2, 5), rational(1, 5))
 
 
+def test_integer_input_gives_fractions():
+    # int rows and rhs must not reach the tableau as ints: int / int in a
+    # pivot would be a float
+    m = Model(3)
+    m.constrain([-2, -1, 0], ">=", -1)
+    m.constrain([-1, -3, 0], ">=", -1)
+    m.constrain([0, 0, 1], "==", 7)
+    r = m.maximize([1, 1, 0])
+    assert r.status == OPTIMAL
+    assert type(r.value) is Fraction
+    assert [type(v) for v in r.x] == [Fraction] * 3
+    assert r.x == (rational(2, 5), rational(1, 5), 7)
+
+
 def test_infeasible():
-    m = Model()
-    x = m.var(nonneg=True)
-    m.constrain({x: 1}, ">=", 1)
-    m.constrain({x: 1}, "<=", 0)
-    assert m.maximize({x: 1}).status == INFEASIBLE
+    m = Model(1)
+    m.constrain([1], ">=", 1)
+    m.constrain([-1], ">=", 0)
+    assert m.maximize([1]).status == INFEASIBLE
 
 
 def test_unbounded():
-    m = Model()
-    x = m.var(nonneg=True)
-    m.constrain({x: 1}, ">=", 1)
-    assert m.maximize({x: 1}).status == UNBOUNDED
-
-
-def test_free_variable_negative_value():
-    m = Model()
-    x = m.var()
-    m.constrain({x: 1}, "==", -5)
-    r = m.maximize({})
-    assert r.status == OPTIMAL
-    assert r.x == (-5,)
-
-
-def test_free_variable_minimized_via_negation():
-    m = Model()
-    x = m.var()
-    m.constrain({x: 1}, ">=", -3)
-    r = m.maximize({x: -1})
-    assert r.status == OPTIMAL
-    assert r.value == 3
-    assert r.x == (-3,)
+    m = Model(1)
+    m.constrain([1], ">=", 1)
+    assert m.maximize([1]).status == UNBOUNDED
 
 
 def test_equality_mix():
-    m = Model()
-    x = m.var(nonneg=True)
-    y = m.var(nonneg=True)
-    z = m.var()
-    m.constrain({x: 1, y: 1, z: 1}, "==", 10)
-    m.constrain({x: 1, y: -1}, ">=", 2)
-    m.constrain({z: 1}, "<=", 1)
-    r = m.maximize({z: 1})
+    m = Model(3)
+    m.constrain([1, 1, 1], "==", 10)
+    m.constrain([1, -1, 0], ">=", 2)
+    m.constrain([0, 0, -1], ">=", -1)
+    r = m.maximize([0, 0, 1])
     assert r.status == OPTIMAL
     assert r.value == 1
     x_, y_, z_ = r.x
@@ -84,51 +72,47 @@ def test_equality_mix():
 
 
 def test_redundant_equalities():
-    m = Model()
-    x = m.var(nonneg=True)
-    y = m.var(nonneg=True)
-    m.constrain({x: 1, y: 1}, "==", 4)
-    m.constrain({x: 2, y: 2}, "==", 8)
-    r = m.maximize({x: 1})
+    m = Model(2)
+    m.constrain([1, 1], "==", 4)
+    m.constrain([2, 2], "==", 8)
+    r = m.maximize([1, 0])
     assert r.status == OPTIMAL
     assert r.value == 4
 
 
 def test_beale_cycling_example_terminates():
     # Cycles forever under Dantzig pivoting; Bland's rule must finish.
-    m = Model()
-    x1 = m.var(nonneg=True)
-    x2 = m.var(nonneg=True)
-    x3 = m.var(nonneg=True)
-    x4 = m.var(nonneg=True)
-    m.constrain(
-        {x1: rational(1, 4), x2: -60, x3: rational(-1, 25), x4: 9}, "<=", 0
-    )
-    m.constrain(
-        {x1: rational(1, 2), x2: -90, x3: rational(-1, 50), x4: 3}, "<=", 0
-    )
-    m.constrain({x3: 1}, "<=", 1)
-    r = m.maximize(
-        {x1: rational(3, 4), x2: -150, x3: rational(1, 50), x4: -6}
-    )
+    m = Model(4)
+    m.constrain([rational(-1, 4), 60, rational(1, 25), -9], ">=", 0)
+    m.constrain([rational(-1, 2), 90, rational(1, 50), -3], ">=", 0)
+    m.constrain([0, 0, -1, 0], ">=", -1)
+    r = m.maximize([rational(3, 4), -150, rational(1, 50), -6])
     assert r.status == OPTIMAL
     assert r.value == rational(1, 20)
     assert r.x == (rational(1, 25), 0, 1, 0)
 
 
 def test_no_constraints():
-    m = Model()
-    x = m.var(nonneg=True)
-    assert m.maximize({x: 1}).status == UNBOUNDED
-    r = m.maximize({x: -1})
-    assert r.status == OPTIMAL and r.value == 0
+    m = Model(1)
+    assert m.maximize([1]).status == UNBOUNDED
+    r = m.maximize([-1])
+    assert r.status == OPTIMAL and r.value == 0 and r.x == (0,)
 
 
 def test_zero_row_infeasible():
-    m = Model()
-    m.var(nonneg=True)
-    m.constrain({}, "<=", -1)
-    assert m.maximize({}).status == INFEASIBLE
+    m = Model(1)
+    m.constrain([0], ">=", 1)
+    assert m.maximize([0]).status == INFEASIBLE
+
+
+def test_rejects_other_senses_and_lengths():
+    m = Model(2)
+    with pytest.raises(ValueError, match="sense"):
+        m.constrain([1, 0], "<=", 1)
+    with pytest.raises(ValueError, match="length"):
+        m.constrain([1], ">=", 1)
+    with pytest.raises(ValueError, match="length"):
+        m.maximize([1, 0, 0])
 
 
 coeff = st.integers(min_value=-4, max_value=4).map(rational)
@@ -148,7 +132,8 @@ def test_matches_vertex_enumeration_oracle(rows, obj):
 
     The oracle enumerates all pairs of tight constraints (including the
     box added to force boundedness), keeps the feasible intersections,
-    and takes the best objective value among them.
+    and takes the best objective value among them.  The model's
+    variables are the box-shifted u = x + 10 and v = y + 10, both >= 0.
     """
     box = rational(10)
     ineqs = [(a, b, c) for a, b, c in rows]
@@ -159,26 +144,27 @@ def test_matches_vertex_enumeration_oracle(rows, obj):
         (rational(0), rational(-1), box),
     ]
 
-    m = Model()
-    x = m.var()
-    y = m.var()
+    m = Model(2)
     for a, b, c in ineqs:
-        m.constrain({x: a, y: b}, "<=", c)
-    got = m.maximize({x: obj[0], y: obj[1]})
+        # a x + b y <= c  is  -a u - b v >= -(c + 10 a + 10 b)
+        m.constrain([-a, -b], ">=", -(c + box * (a + b)))
+    got = m.maximize(list(obj))
     assert got.status == OPTIMAL  # origin is feasible, box bounds it
+    value = got.value - box * (obj[0] + obj[1])
 
     best = None
     for (a1, b1, c1), (a2, b2, c2) in combinations(ineqs, 2):
-        p = solve_linear([QVector([a1, b1]), QVector([a2, b2])], QVector([c1, c2]))
-        if p is None:
+        det = a1 * b2 - a2 * b1
+        if det == 0:
             continue
+        p = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
         if all(a * p[0] + b * p[1] <= c for a, b, c in ineqs):
             val = obj[0] * p[0] + obj[1] * p[1]
             if best is None or val > best:
                 best = val
     assert best is not None
-    assert got.value == best
+    assert value == best
     # and the reported point must be feasible with matching objective
-    px, py = got.x
+    px, py = (u - box for u in got.x)
     assert all(a * px + b * py <= c for a, b, c in ineqs)
-    assert obj[0] * px + obj[1] * py == got.value
+    assert obj[0] * px + obj[1] * py == value
