@@ -9,8 +9,23 @@ condition on that face by vertex signs, and checks that distinct cones
 received distinct faces.  Together with the polytope itself that
 exhibits 3^d distinct nonempty faces, which is the whole point.
 
-Everything is exact: the meeting question is one rational LP per
-(face, cone) pair, and all recorded points are rational.
+The witness face is read off vertex signs.  A point of relint(F) is a
+combination of F's vertices with all weights positive, so x.b_i is 0 on
+relint(F) when every vertex has v.b_i = 0, has the one strict sign when
+only that sign occurs, and can be either sign or 0 when both occur.  The
+cone of sign vector s can meet relint(F) only if each s_i is allowed in
+this way.  When the d reflections R_i across the hyperplanes normal to
+b_i are symmetries of P, which certify checks first, the converse holds
+too.  If F has vertices of both signs on b_i, some point of relint(F)
+has x.b_i = 0; R_i fixes it, so R_i maps F onto itself.  Averaging a
+point of relint(F) over those reflections gives one with x.b_i = 0 for
+every such i, and moving it a little toward reflected vertices of the
+wanted signs gives a point of relint(F) in the open cone.  So the first
+proper face in (dim, vertex_ids) order whose signs allow a cone is that
+cone's witness, and the exact LP is solved once per cone, to produce the
+rational witness point.  An LP that misses is a bug, not a verdict.
+
+Everything is exact: all recorded points are rational.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .lattice import Face, FaceLattice, enumerate_faces
+from .lattice import Face, enumerate_faces
 from .polytope import Polytope
 from .ratgeom import QVector, format_rational
 from .symmetry import SymmetryReport, verify_basis
@@ -31,7 +46,6 @@ __all__ = [
     "Certificate",
     "enumerate_cones",
     "relint_meets_cone_interior",
-    "WitnessSearch",
     "certify",
 ]
 
@@ -84,7 +98,7 @@ def relint_meets_cone_interior(
     """Exact decision: does relint(face) meet the open cone?
 
     dots[v][i] is the dot product of vertex v with basis vector b_i and
-    norms[i] is b_i.b_i, as WitnessSearch holds them.  Solved as one LP.
+    norms[i] is b_i.b_i, as certify computes them.  Solved as one LP.
     Writing the candidate point as a convex combination
     x = sum(lambda_j w_j) of the face's vertices, we need every
     lambda_j >= eps, sum(lambda_j) = 1, x strict against each selected
@@ -116,86 +130,32 @@ def relint_meets_cone_interior(
     eps_star = result.x[-1]
     if eps_star <= 0:
         return None
-    x = QVector.zero(p.dim)
-    for j, v in enumerate(ids):
-        x = x + (result.x[j] + eps_star) * p.vertices[v]
-    return x
+    weights = [result.x[j] + eps_star for j in range(k)]
+    verts = [p.vertices[v] for v in ids]
+    return QVector(
+        sum(w * x[c] for w, x in zip(weights, verts)) for c in range(p.dim)
+    )
 
 
-class WitnessSearch:
-    """Face scanner for one (polytope, lattice, basis) triple.
+def _allowed_signs(face: Face, dots: Sequence) -> tuple:
+    """Per basis vector b_i, the signs x.b_i can take on relint(face):
+    (0,) when every vertex has v.b_i = 0, the one strict sign when only
+    that sign occurs, and (-1, 0, 1) when both occur."""
+    allowed = []
+    for column in zip(*(dots[v] for v in face.vertex_ids)):
+        lo, hi = min(column), max(column)
+        if lo < 0 < hi:
+            allowed.append((-1, 0, 1))
+        else:
+            allowed.append((1,) if hi > 0 else (-1,) if lo < 0 else (0,))
+    return tuple(allowed)
 
-    Holds every vertex-basis dot product, the squared basis norms, and
-    per-face min/max ranges of the dot products.  That one table feeds
-    the cheap sign screens shared by all 3^d - 1 cones, the witness LP of
-    each face that passes them, and the inclusion check on the face
-    found.  The screens are necessary conditions, so they never change
-    which face is selected, only how fast it is found.
-    """
 
-    def __init__(self, p: Polytope, lat: FaceLattice, basis: Sequence[QVector]):
-        self.p = p
-        self.lat = lat
-        self._dots = [[v.dot(b) for b in basis] for v in p.vertices]
-        self._norms = [b.dot(b) for b in basis]
-        self._ranges: dict = {}
-
-    def _range(self, face_index: int, basis_index: int) -> tuple:
-        key = (face_index, basis_index)
-        cached = self._ranges.get(key)
-        if cached is None:
-            vals = [
-                self._dots[v][basis_index]
-                for v in self.lat.faces[face_index].vertex_ids
-            ]
-            cached = (min(vals), max(vals))
-            self._ranges[key] = cached
-        return cached
-
-    def _screens_pass(self, face_index: int, subset: SignedSubset) -> bool:
-        for i, s in subset.selected():
-            lo, hi = self._range(face_index, i)
-            # x.u > 0 for a positive convex combination needs a positive term
-            if (hi if s > 0 else -lo) <= 0:
-                return False
-        for i in subset.unselected():
-            lo, hi = self._range(face_index, i)
-            # x.b = 0 with all-positive weights needs mixed or all-zero signs
-            if not (lo < 0 < hi or (lo == 0 and hi == 0)):
-                return False
-        return True
-
-    def inclusion_holds(self, face_index: int, subset: SignedSubset) -> bool:
-        """Vertex-sign form of the strict inclusion of relint(face) in
-        the open halfspace system of the cone: against every selected
-        direction no vertex is negative and some vertex is positive."""
-        for i, s in subset.selected():
-            lo, hi = self._range(face_index, i)
-            if s < 0:
-                lo, hi = -hi, -lo
-            if lo < 0 or hi <= 0:
-                return False
-        return True
-
-    def find(self, subset: SignedSubset) -> Optional["ConeWitness"]:
-        """First proper face, in (dim, vertex_ids) order, whose relative
-        interior meets the open cone; None when there is none."""
-        for fi, face in enumerate(self.lat.faces):
-            if face.dim >= self.p.dim:
-                break  # faces are sorted by dimension; only the top remains
-            if not self._screens_pass(fi, subset):
-                continue
-            point = relint_meets_cone_interior(
-                face, subset, self._dots, self._norms, self.p
-            )
-            if point is not None:
-                return ConeWitness(
-                    subset=subset,
-                    face=face,
-                    point=point,
-                    inclusion_ok=self.inclusion_holds(fi, subset),
-                )
-        return None
+def _inclusion_ok(allowed: tuple, subset: SignedSubset) -> bool:
+    """Vertex-sign form of the strict inclusion of relint(face) in the
+    open halfspace system of the cone: on every selected direction the
+    face's allowed signs are exactly the cone's sign."""
+    return all(allowed[i] == (s,) for i, s in subset.selected())
 
 
 @dataclass(frozen=True)
@@ -217,10 +177,9 @@ class ConeWitness:
 class Certificate:
     """Machine-checkable record of the whole construction on one input.
 
-    witnesses holds one entry per cone in enumerate_cones order; an
-    entry is None when no face was found (hypothesis violation).
-    verdict is the conjunction of every check, including that the face
-    count reached 3^d.
+    witnesses holds one entry per cone in enumerate_cones order, or is
+    empty when a hypothesis fails.  verdict is the conjunction of every
+    check, including that the face count reached 3^d.
     """
 
     dim: int
@@ -233,34 +192,21 @@ class Certificate:
     verdict: bool
 
     def to_json_dict(self) -> dict:
-        cones = []
-        for subset, w in zip(enumerate_cones(self.dim), self.witnesses):
-            if w is None:
-                cones.append(
-                    {
-                        "signs": list(subset.signs),
-                        "face_vertices": None,
-                        "face_dim": None,
-                        "witness_point": None,
-                        "inclusion_ok": None,
-                    }
-                )
-            else:
-                cones.append(
-                    {
-                        "signs": list(w.subset.signs),
-                        "face_vertices": list(w.face.vertex_ids),
-                        "face_dim": w.face.dim,
-                        "witness_point": [format_rational(c) for c in w.point],
-                        "inclusion_ok": w.inclusion_ok,
-                    }
-                )
         return {
             "dim": self.dim,
             "symmetry": self.symmetry.to_json_dict(),
             "f_vector": list(self.f_vector),
             "total": self.total,
-            "cones": cones,
+            "cones": [
+                {
+                    "signs": list(w.subset.signs),
+                    "face_vertices": list(w.face.vertex_ids),
+                    "face_dim": w.face.dim,
+                    "witness_point": [format_rational(c) for c in w.point],
+                    "inclusion_ok": w.inclusion_ok,
+                }
+                for w in self.witnesses
+            ],
             "injective": self.injective,
             "distinct_faces": self.distinct_faces_count,
             "verdict": self.verdict,
@@ -271,9 +217,17 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
     """Run every check and assemble the certificate.
 
     Hypothesis failures (central symmetry, basis orthogonality, a broken
-    reflection) short-circuit the witness scan: the certificate then
+    reflection) short-circuit the witness search: the certificate then
     carries the face counts, the failure description, and verdict False
     with an empty witness list.
+
+    Otherwise the reflections are symmetries of p, so vertex signs pick
+    each cone's witness exactly (see the module docstring): every proper
+    face, in lattice order, takes the cones its allowed signs admit and
+    no earlier face took.  Every cone is taken, because the ray along
+    its sign vector leaves p through the relative interior of a proper
+    face.  One LP per cone then yields the witness point; a miss raises
+    RuntimeError, since it can only be a bug.
 
     Deterministic end to end; distinct cones could be dispatched in
     parallel without changing the result, since the face lattice and
@@ -295,17 +249,38 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
             verdict=False,
         )
 
-    search = WitnessSearch(p, lat, basis)
-    witnesses = tuple(search.find(subset) for subset in enumerate_cones(p.dim))
-    found = [w for w in witnesses if w is not None]
-    all_found = len(found) == len(witnesses)
-    distinct = {w.face.vertex_ids for w in found}
-    injective = all_found and len(distinct) == len(found)
+    dots = [[v.dot(b) for b in basis] for v in p.vertices]
+    norms = [b.dot(b) for b in basis]
+    taken: dict = {}
+    for face in lat.faces:
+        if face.dim < p.dim:
+            allowed = _allowed_signs(face, dots)
+            for signs in product(*allowed):
+                taken.setdefault(signs, (face, allowed))
+
+    witnesses = []
+    for subset in enumerate_cones(p.dim):
+        face, allowed = taken[subset.signs]
+        point = relint_meets_cone_interior(face, subset, dots, norms, p)
+        if point is None:
+            raise RuntimeError(
+                f"the witness LP of cone {subset.signs} misses face "
+                f"{face.vertex_ids}, whose vertex signs admit it"
+            )
+        witnesses.append(
+            ConeWitness(
+                subset=subset,
+                face=face,
+                point=point,
+                inclusion_ok=_inclusion_ok(allowed, subset),
+            )
+        )
+    distinct = {w.face.vertex_ids for w in witnesses}
+    injective = len(distinct) == len(witnesses)
     distinct_count = len(distinct) + 1  # the polytope itself is the 3^d-th face
 
     verdict = (
-        all_found
-        and all(w.inclusion_ok for w in found)
+        all(w.inclusion_ok for w in witnesses)
         and injective
         and distinct_count == bound
         and lat.total >= bound
@@ -315,7 +290,7 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
         symmetry=report,
         f_vector=lat.f_vector,
         total=lat.total,
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
         injective=injective,
         distinct_faces_count=distinct_count,
         verdict=verdict,

@@ -1,11 +1,13 @@
 """Face lattice enumeration and an independent definition-level oracle.
 
-The production path (enumerate_faces) is purely combinatorial: faces are
-exactly the closed vertex sets under the incidence closure operator, and
-every face is reachable by joining vertex atoms one at a time.  The
-oracle path (brute_force_faces) never looks at the incidence table; it
-goes back to supporting hyperplanes and exact linear programs, so the two
-can disagree only if one of them is wrong.
+The production path (enumerate_faces) finds the faces combinatorially:
+they are exactly the closed vertex sets under the incidence closure
+operator, and every face is reachable by joining vertex atoms one at a
+time.  Only each face's dimension is geometry, the affine rank of its
+vertices (_face_from_vmask).  The oracle path (brute_force_faces) never
+looks at the incidence table; it goes back to supporting hyperplanes and
+exact linear programs, so the two can disagree only if one of them is
+wrong.
 """
 
 from __future__ import annotations

@@ -181,9 +181,8 @@ def affine_rank(points: Sequence[QVector]) -> int:
     """
     if not points:
         raise ValueError("affine_rank of an empty point list")
-    pts = [p if isinstance(p, QVector) else QVector(p) for p in points]
-    base = pts[0]
-    diffs = [list((p - base).coords) for p in pts[1:]]
+    base = points[0]
+    diffs = [list((p - base).coords) for p in points[1:]]
     if not diffs:
         return 0
     return len(_reduced_echelon(diffs))

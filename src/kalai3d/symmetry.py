@@ -65,10 +65,6 @@ def standard_basis(dim: int) -> tuple:
 
 def reflect(x: QVector, v: QVector) -> QVector:
     """Reflect x across the hyperplane through the origin normal to v."""
-    if not isinstance(x, QVector):
-        x = QVector(x)
-    if not isinstance(v, QVector):
-        v = QVector(v)
     if v.is_zero():
         raise ValueError("cannot reflect across a zero normal")
     scale = 2 * x.dot(v) / v.dot(v)

@@ -1,20 +1,24 @@
 """The cone-to-face witness construction and its certificates."""
 
 import json
+from itertools import product
 
 import pytest
 
+from kalai3d import cli, kalai
+from kalai3d.fileio import format_polytope_text
 from kalai3d.kalai import (
     SignedSubset,
-    WitnessSearch,
+    _allowed_signs,
+    _inclusion_ok,
     certify,
     enumerate_cones,
     relint_meets_cone_interior,
 )
-from kalai3d.lattice import Face, FaceLattice, enumerate_faces
+from kalai3d.lattice import Face, enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector
-from kalai3d.symmetry import standard_basis
+from kalai3d.symmetry import standard_basis, verify_basis
 
 from test_symmetry import HEXAGON_POINTS, SHEAR_POINTS
 
@@ -27,11 +31,22 @@ def face_of(lat, *vertex_ids):
     return next(f for f in lat.faces if f.vertex_ids == vertex_ids)
 
 
+def dot_table(basis, p):
+    return [[v.dot(b) for b in basis] for v in p.vertices]
+
+
 def relint(face, subset, basis, p):
     """The witness LP with its dot table computed here from the basis."""
-    dots = [[v.dot(b) for b in basis] for v in p.vertices]
     norms = [b.dot(b) for b in basis]
-    return relint_meets_cone_interior(face, subset, dots, norms, p)
+    return relint_meets_cone_interior(face, subset, dot_table(basis, p), norms, p)
+
+
+def inclusion_holds(face, subset, basis, p):
+    return _inclusion_ok(_allowed_signs(face, dot_table(basis, p)), subset)
+
+
+def witness(cert, signs):
+    return next(w for w in cert.witnesses if w.subset.signs == signs)
 
 
 class TestSignedSubset:
@@ -105,33 +120,31 @@ class TestRelintMeetsCone:
 
 class TestWitnessForCone:
     def test_square_axis_cone_gets_edge(self, square):
-        p, lat, basis = square
-        w = WitnessSearch(p, lat, basis).find(SignedSubset((1, 0)))
+        p, _, basis = square
+        w = witness(certify(p, basis), (1, 0))
         assert w.face.vertex_ids == (2, 3)
         assert w.face.dim == 1
         assert w.point == qv(1, 0)
         assert w.inclusion_ok
 
     def test_square_quadrant_gets_corner(self, square):
-        p, lat, basis = square
-        w = WitnessSearch(p, lat, basis).find(SignedSubset((1, 1)))
+        p, _, basis = square
+        w = witness(certify(p, basis), (1, 1))
         assert w.face.vertex_ids == (3,)
         assert w.face.dim == 0
         assert w.point == qv(1, 1)
 
     def test_cube3_octant_gets_corner(self):
         p = generate("cube", dim=3)
-        lat = enumerate_faces(p)
-        w = WitnessSearch(p, lat, standard_basis(3)).find(SignedSubset((1, 1, 1)))
+        w = witness(certify(p, standard_basis(3)), (1, 1, 1))
         assert [p.vertices[i] for i in w.face.vertex_ids] == [qv(1, 1, 1)]
 
 
 class TestInteriorInclusion:
     def test_square_witnesses_pass(self, square):
-        search = WitnessSearch(*square)
-        for k in enumerate_cones(2):
-            w = search.find(k)
-            assert search.inclusion_holds(search.lat.faces.index(w.face), k)
+        p, _, basis = square
+        for w in certify(p, basis).witnesses:
+            assert inclusion_holds(w.face, w.subset, basis, p)
             assert w.inclusion_ok
 
     def test_all_zero_edge_fails(self):
@@ -140,14 +153,79 @@ class TestInteriorInclusion:
         p = generate("cross_polytope", dim=2)
         # vertices sorted: 0=(-1,0) 1=(0,-1) 2=(0,1) 3=(1,0)
         fake_face = Face(vertex_ids=(1, 2), dim=1)
-        search = WitnessSearch(p, FaceLattice(2, [fake_face]), standard_basis(2))
-        assert not search.inclusion_holds(0, SignedSubset((1, 0)))
+        basis = standard_basis(2)
+        assert not inclusion_holds(fake_face, SignedSubset((1, 0)), basis, p)
 
     def test_mixed_sign_edge_fails(self, square):
         p, _, basis = square
         fake_face = Face(vertex_ids=(0, 3), dim=1)  # a diagonal
-        search = WitnessSearch(p, FaceLattice(2, [fake_face]), basis)
-        assert not search.inclusion_holds(0, SignedSubset((1, 0)))
+        assert not inclusion_holds(fake_face, SignedSubset((1, 0)), basis, p)
+
+
+def sign_table_mismatches(p, basis):
+    """(face, cone) pairs where the sign table and the witness LP disagree."""
+    dots = dot_table(basis, p)
+    out = []
+    for f in enumerate_faces(p).faces:
+        if f.dim == p.dim:
+            continue
+        allowed = set(product(*_allowed_signs(f, dots)))
+        for k in enumerate_cones(p.dim):
+            if (k.signs in allowed) != (relint(f, k, basis, p) is not None):
+                out.append((f.vertex_ids, k.signs))
+    return out
+
+
+class TestSignTable:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (generate("cube", dim=3), standard_basis(3)),
+            lambda: (generate("cross_polytope", dim=3), standard_basis(3)),
+            lambda: (
+                build_polytope(VRep(2, HEXAGON_POINTS)),
+                (qv(1, -1), qv(1, 1)),
+            ),
+            lambda: (
+                generate("random_reflection_symmetric", dim=3, m=2, seed=1),
+                standard_basis(3),
+            ),
+            lambda: (
+                generate(
+                    "product",
+                    factors=(
+                        generate("cube", dim=2),
+                        generate("cross_polytope", dim=2),
+                    ),
+                ),
+                standard_basis(4),
+            ),
+        ],
+        ids=["cube3", "cross3", "hexagon_diagonal", "random3", "cube2xcross2"],
+    )
+    def test_exact_under_reflection_symmetry(self, make):
+        """With every reflection a symmetry, the sign table allows a cone
+        on a proper face exactly when the witness LP finds a point."""
+        p, basis = make()
+        assert verify_basis(p, basis).hypotheses_hold
+        assert sign_table_mismatches(p, basis) == []
+
+    def test_needs_reflection_symmetry(self):
+        """A centrally symmetric parallelogram that the std reflections do
+        not preserve: two edges allow three cones each that they miss."""
+        p = build_polytope(VRep(2, (qv(3, -1), qv(1, -1), qv(-3, 1), qv(-1, 1))))
+        # vertices sorted: 0=(-3,1) 1=(-1,1) 2=(1,-1) 3=(3,-1)
+        basis = standard_basis(2)
+        report = verify_basis(p, basis)
+        assert report.centrally_symmetric and not report.basis_verified
+        assert sign_table_mismatches(p, basis) == [
+            ((0, 2), (0, 1)),
+            ((0, 2), (1, 0)),
+            ((0, 2), (1, 1)),
+            ((1, 3), (-1, -1)),
+            ((1, 3), (-1, 0)),
+            ((1, 3), (0, -1)),
+        ]
 
 
 SQUARE_WITNESS_MAP = {
@@ -228,12 +306,26 @@ class TestCertify:
         p = generate("cube", dim=2)
         lat = enumerate_faces(p)
         basis = standard_basis(2)
-        search = WitnessSearch(p, lat, basis)
-        for k in enumerate_cones(2):
-            w = search.find(k)
+        for w in certify(p, basis).witnesses:
             for f in lat.faces:
                 if f.dim < w.face.dim:
-                    assert relint(f, k, basis, p) is None
+                    assert relint(f, w.subset, basis, p) is None
+
+    def test_lp_miss_is_internal_error(self, monkeypatch, tmp_path, capsys):
+        """An LP that misses a face its signs admit is a bug: certify
+        raises and the CLI exits 3, never 1 (false) or 2 (bad input)."""
+        monkeypatch.setattr(kalai, "relint_meets_cone_interior", lambda *a: None)
+        p = generate("cube", dim=2)
+        with pytest.raises(RuntimeError):
+            certify(p, standard_basis(2))
+
+        path = tmp_path / "cube2.hpoly"
+        path.write_text(format_polytope_text(p.hrep()))
+        assert cli.main(["certify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:\n")
+        assert "RuntimeError" in captured.err
 
     def test_triangle_fails_central_symmetry(self):
         p = build_polytope(VRep(2, (qv(0, 0), qv(1, 0), qv(0, 1))))
