@@ -161,7 +161,7 @@ def _cmd_selftest(args) -> int:
     for label, p in oracle_cases:
         fast = enumerate_faces(p)
         slow = brute_force_faces(p)
-        same = [f.vertex_ids for f in fast] == [f.vertex_ids for f in slow]
+        same = [f.sort_key for f in fast] == [f.sort_key for f in slow]
         _check(f"face enumeration matches the brute-force oracle on {label}", same, failures)
 
     for label, p, expect in [

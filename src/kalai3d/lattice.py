@@ -1,23 +1,24 @@
 """Face lattice enumeration and an independent definition-level oracle.
 
-The production path (enumerate_faces) finds the faces combinatorially:
-they are exactly the closed vertex sets under the incidence closure
-operator, and every face is reachable by joining vertex atoms one at a
-time.  Only each face's dimension is geometry, the affine rank of its
-vertices (_face_from_vmask).  The oracle path (brute_force_faces) never
-looks at the incidence table; it goes back to supporting hyperplanes and
-exact linear programs, so the two can disagree only if one of them is
-wrong.
+The production path (enumerate_faces) is purely combinatorial: it reads
+only the vertex-facet incidence.  The faces are exactly the closed vertex
+sets under the incidence closure operator, every face is reachable by
+joining vertex atoms one at a time, and a face's dimension is its height
+in the lattice, counted cover by cover.  Only the oracle path
+(brute_force_faces) uses geometry: it never looks at the incidence table
+but goes back to supporting hyperplanes, exact linear programs and the
+affine rank of each face's vertices, so the two can disagree only if one
+of them is wrong.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .polytope import Polytope
+from .polytope import Polytope, _bits
 from .ratgeom import QVector, affine_rank, kernel_basis
 from . import simplex
 
@@ -97,29 +98,22 @@ def _closure_mask(p: Polytope, vmask: int) -> tuple:
     return out, fmask
 
 
-def _bits(mask: int) -> tuple:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _face_from_vmask(p: Polytope, vmask: int) -> Face:
     ids = _bits(vmask)
     return Face(vertex_ids=ids, dim=affine_rank([p.vertices[i] for i in ids]))
 
 
 def enumerate_faces(p: Polytope) -> FaceLattice:
-    """Every nonempty face of p, by closing joins of vertex atoms.
+    """Every nonempty face of p, by climbing covers from the vertices.
 
-    Breadth-first: start from the vertices, repeatedly adjoin one more
-    atom and close.  Each chain of joins climbs the lattice, so every
-    face is reached.
+    Breadth-first: for each face F, close F joined with each vertex atom
+    outside it.  A join H covers F exactly when every vertex of H outside
+    F closes with F to H, that is, when H is reached popcount(H & ~F)
+    times; a face strictly between F and H would capture some of those
+    vertices.  Only covers are queued, one dimension above F.  Every face
+    lies on a chain of covers from a vertex, so every face is reached.
     """
     n = len(p.vertices)
-    full = (1 << n) - 1
     atoms = []
     for i in range(n):
         amask, _ = _closure_mask(p, 1 << i)
@@ -127,22 +121,19 @@ def enumerate_faces(p: Polytope) -> FaceLattice:
             raise RuntimeError(f"vertex {i} is not its own closure")
         atoms.append(amask)
 
-    known = set(atoms)
+    dims = dict.fromkeys(atoms, 0)  # face vertex mask -> dimension
     queue = deque(atoms)
     while queue:
         cur = queue.popleft()
-        if cur == full:
-            continue
-        for amask in atoms:
-            if amask & cur:
-                continue
-            joined, _ = _closure_mask(p, cur | amask)
-            if joined not in known:
-                known.add(joined)
+        joins = Counter(
+            _closure_mask(p, cur | amask)[0] for amask in atoms if not amask & cur
+        )
+        for joined, count in joins.items():
+            if count == (joined & ~cur).bit_count() and joined not in dims:
+                dims[joined] = dims[cur] + 1
                 queue.append(joined)
-    known.add(full)
 
-    faces = [_face_from_vmask(p, vmask) for vmask in known]
+    faces = [Face(vertex_ids=_bits(vmask), dim=k) for vmask, k in dims.items()]
     lat = FaceLattice(p.dim, faces)
     if lat.f_vector[p.dim] != 1 or lat.f_vector[0] != n:
         raise RuntimeError(

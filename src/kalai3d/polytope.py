@@ -6,9 +6,13 @@ every full-rank d-subset of halfspace boundaries gives one candidate point
 and the feasible candidates are exactly the vertices.  That is the right
 tool at this package's scale (dimension up to about six, tens of
 halfspaces) and keeps every step exact and auditable.  The rows tight at
-each vertex, recorded while testing feasibility, give the facets and the
-incidence.  A V-input is the same enumeration run on its polar around the
-barycenter, read back transposed: polar vertices are facets and vice versa.
+each vertex, recorded while testing feasibility, give the rest as vertex
+bitmasks.  The set is full-dimensional exactly when no row is tight at
+every vertex, since such implicit equalities cut out its affine hull; a
+row is a facet exactly when its tight set is maximal, since every facet
+has a defining row and every proper face lies in a facet.  A V-input is
+the same enumeration run on its polar around the barycenter, read back
+transposed: polar vertices are facets and vice versa.
 """
 
 from __future__ import annotations
@@ -144,39 +148,21 @@ class Polytope:
     incidence[j] lists the vertex ids on facet j.
     """
 
-    __slots__ = ("dim", "vertices", "halfspaces", "incidence", "_fmasks", "_vmasks")
+    __slots__ = ("dim", "vertices", "halfspaces", "incidence",
+                 "facet_vertex_masks", "vertex_facet_masks")
 
     def __init__(self, dim, vertices, halfspaces, incidence):
         self.dim = dim
         self.vertices = tuple(vertices)
         self.halfspaces = tuple(halfspaces)
         self.incidence = tuple(tuple(row) for row in incidence)
-        self._fmasks = None
-        self._vmasks = None
-
-    @property
-    def facet_vertex_masks(self) -> tuple:
-        """Per facet, a bitmask over vertex ids (internal helper)."""
-        if self._fmasks is None:
-            masks = []
-            for row in self.incidence:
-                m = 0
-                for i in row:
-                    m |= 1 << i
-                masks.append(m)
-            self._fmasks = tuple(masks)
-        return self._fmasks
-
-    @property
-    def vertex_facet_masks(self) -> tuple:
-        """Per vertex, a bitmask over facet ids (internal helper)."""
-        if self._vmasks is None:
-            masks = [0] * len(self.vertices)
-            for j, row in enumerate(self.incidence):
-                for i in row:
-                    masks[i] |= 1 << j
-            self._vmasks = tuple(masks)
-        return self._vmasks
+        # per facet a mask over vertex ids, per vertex one over facet ids
+        fvm, vfm = [0] * len(self.incidence), [0] * len(self.vertices)
+        for j, row in enumerate(self.incidence):
+            for i in row:
+                fvm[j] |= 1 << i
+                vfm[i] |= 1 << j
+        self.facet_vertex_masks, self.vertex_facet_masks = tuple(fvm), tuple(vfm)
 
     def vrep(self) -> VRep:
         return VRep(self.dim, self.vertices)
@@ -189,6 +175,15 @@ class Polytope:
             f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
             f"facets={len(self.halfspaces)})"
         )
+
+
+def _bits(mask: int) -> tuple:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _dedup_dominated(halfspaces: Iterable[Halfspace]) -> list:
@@ -250,9 +245,12 @@ def vertices_from_hrep(hrep: HRep) -> Polytope:
 
     Each full-rank d-subset of boundaries gives a basic point.  The pass
     that tests a point records the rows tight at it, or None when some
-    row rejects it; a point already tested is not tested again.  A
-    canonical row is kept as a facet when the vertices it is tight at
-    have affine rank d - 1.
+    row rejects it; a point already tested is not tested again.  Then
+    each row's tight set is one vertex bitmask.  The intersection is
+    full-dimensional iff no row is tight at every vertex: such implicit
+    equalities cut out its affine hull.  A canonical row is a facet iff
+    no other row is tight at a strict superset of its vertices: every
+    facet has a defining row and every proper face lies in a facet.
 
     Raises UnboundedError when the recession cone is nontrivial and
     DegenerateError when the intersection is empty or has affine rank
@@ -306,19 +304,18 @@ def vertices_from_hrep(hrep: HRep) -> Polytope:
     verts = sorted(QVector(x) for x, on in tight.items() if on is not None)
     if not verts:
         raise DegenerateError("empty: no feasible basic point exists")
-    if len(verts) < d + 1 or affine_rank(verts) < d:
+    masks = [0] * len(hs)  # per row, the vertices it is tight at
+    for i, v in enumerate(verts):
+        for r in tight[v.coords]:
+            masks[r] |= 1 << i
+    if (1 << len(verts)) - 1 in masks:
         raise DegenerateError(
             f"lower-dimensional: affine rank below ambient dimension {d}"
         )
-    onsets = [[] for _ in hs]
-    for i, v in enumerate(verts):
-        for r in tight[v.coords]:
-            onsets[r].append(i)
     kept = [
-        (tuple(onset), h)
-        for onset, h in zip(onsets, hs)
-        # a facet touches at least d vertices spanning a hyperplane
-        if len(onset) >= d and affine_rank([verts[i] for i in onset]) == d - 1
+        (_bits(m), h)
+        for m, h in zip(masks, hs)
+        if not any(m != other and m & other == m for other in masks)
     ]
     return _assemble(d, verts, kept)
 
@@ -446,6 +443,8 @@ def generate(
     random_reflection_symmetric takes dim, m (orbit count), and seed, and
     retries fresh samples until the intersection is bounded.
     """
+    if dim is not None and dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
     if family == "cube":
         if dim is None:
             raise ValueError("cube requires dim")

@@ -213,6 +213,21 @@ def test_generate_missing_params(run):
     assert "error:" in err and "dim" in err
 
 
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_generate_rejects_nonpositive_dim(dim):
+    """A subprocess with a timeout, so a sampler that never returns fails."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kalai3d", "generate",
+         "--family", "random_reflection_symmetric",
+         "--dim", dim, "--m", "1", "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert f"dimension must be positive, got {dim}" in proc.stderr
+
+
 def test_generate_unknown_family(run):
     code, _, err = run("generate", "--family", "orthoplex")
     assert code == 2

@@ -10,7 +10,7 @@ import pytest
 from kalai3d import lattice
 from kalai3d.lattice import _bits, _closure_mask, brute_force_faces, enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, generate
-from kalai3d.ratgeom import QVector, rational
+from kalai3d.ratgeom import QVector, affine_rank, rational
 
 
 def qv(*coords):
@@ -130,6 +130,32 @@ class TestEnumerateFaces:
         lat = enumerate_faces(p)
         facet_faces = [f for f in lat.faces if f.dim == p.dim - 1]
         assert sorted(f.vertex_ids for f in facet_faces) == sorted(p.incidence)
+
+
+class TestFaceDimensions:
+    """Dimensions counted cover by cover against the affine rank of each
+    face's vertices, beyond the oracle's reach of dimension 3."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate("cube", dim=5),
+            lambda: generate("cube", dim=6),
+            lambda: generate("cross_polytope", dim=5),
+            lambda: generate(
+                "product",
+                factors=(generate("cube", dim=2), generate("cross_polytope", dim=3)),
+            ),
+            lambda: generate("random_reflection_symmetric", dim=4, m=2, seed=1),
+            lambda: generate("random_reflection_symmetric", dim=5, m=1, seed=1),
+        ],
+        ids=["cube5", "cube6", "cross5", "cube2xcross3", "random4m2", "random5m1"],
+    )
+    def test_dim_is_affine_rank(self, make):
+        p = make()
+        lat = enumerate_faces(p)
+        for f in lat.faces:
+            assert f.dim == affine_rank([p.vertices[i] for i in f.vertex_ids])
 
 
 class TestRelintPoint:

@@ -124,6 +124,33 @@ class TestVerticesFromHRep:
         with pytest.raises(DegenerateError, match="lower-dimensional"):
             vertices_from_hrep(HRep(2, hs))
 
+    def test_lower_dimensional_without_antiparallel_pair(self):
+        """x >= 0, y >= 0 and x + y <= 0 force x = y = 0, an implicit
+        equality that no antiparallel pair of rows states."""
+        hs = (
+            hspace((-1, 0, 0), 0),
+            hspace((0, -1, 0), 0),
+            hspace((1, 1, 0), 0),
+            hspace((0, 0, 1), 1),
+            hspace((0, 0, -1), 1),
+        )
+        with pytest.raises(DegenerateError, match="lower-dimensional"):
+            vertices_from_hrep(HRep(3, hs))
+
+    def test_rows_tight_at_lower_faces_are_not_facets(self):
+        """Each extra row touches cube(4) only at a face that lies in a
+        facet: a 2-face with d = 4 vertices, an edge and a vertex."""
+        cube = generate("cube", dim=4)
+        extra = [
+            hspace((1, 1, 0, 0), 2),
+            hspace((1, 1, 1, 0), 3),
+            hspace((1, 1, 1, 1), 4),
+        ]
+        p = vertices_from_hrep(HRep(4, cube.halfspaces + tuple(extra)))
+        assert p.vertices == cube.vertices
+        assert p.halfspaces == cube.halfspaces
+        assert p.incidence == cube.incidence
+
     def test_redundant_and_duplicate_halfspaces(self):
         square = [hspace(n, 1) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
         noisy = square + [hspace((1, 0), 5), hspace((2, 0), 2), hspace((1, 1), 7)]
