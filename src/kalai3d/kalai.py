@@ -22,8 +22,11 @@ point of relint(F) over those reflections gives one with x.b_i = 0 for
 every such i, and moving it a little toward reflected vertices of the
 wanted signs gives a point of relint(F) in the open cone.  So the first
 proper face in (dim, vertex_ids) order whose signs allow a cone is that
-cone's witness, and the exact LP is solved once per cone, to produce the
-rational witness point.  An LP that misses is a bug, not a verdict.
+cone's witness, and one exact LP per cone produces the rational witness
+point.  The rows hold only the face's vertex-basis dot products, signed
+by the cone, so many cones pose the same LP, and the simplex runs once
+per distinct system, not once per cone.  An LP that misses is a bug,
+not a verdict.
 
 Everything is exact: all recorded points are rational.
 """
@@ -94,6 +97,7 @@ def relint_meets_cone_interior(
     dots: Sequence,
     norms: Sequence,
     p: Polytope,
+    lps: dict,
 ) -> Optional[QVector]:
     """Exact decision: does relint(face) meet the open cone?
 
@@ -109,20 +113,30 @@ def relint_meets_cone_interior(
     substituted as mu + eps with mu >= 0, which shrinks the system
     without changing the feasible set or the optimum; the eps column of
     a row is then its row sum, less u.u on a selected row.
+
+    lps maps the exact rows of each LP already solved to its result.  The
+    simplex runs only on rows not in it; the point is recombined from
+    this face's own vertices either way.  The simplex is deterministic,
+    so a reused result is the one a fresh solve would give.
     """
     ids = face.vertex_ids
     k = len(ids)
 
-    m = simplex.Model(k + 1)  # mu_1..mu_k, then eps
-    m.constrain([1] * k + [k], "==", 1)
+    rows = [((1,) * k + (k,), simplex.EQ, 1)]  # mu_1..mu_k, then eps
     for i, s in subset.selected():
-        row = [s * dots[v][i] for v in ids]
-        m.constrain(row + [sum(row) - norms[i]], ">=", 0)
+        row = tuple(s * dots[v][i] for v in ids)
+        rows.append((row + (sum(row) - norms[i],), simplex.GE, 0))
     for i in subset.unselected():
-        row = [dots[v][i] for v in ids]
-        m.constrain(row + [sum(row)], "==", 0)
+        row = tuple(dots[v][i] for v in ids)
+        rows.append((row + (sum(row),), simplex.EQ, 0))
 
-    result = m.maximize([0] * k + [1])
+    key = tuple(rows)
+    result = lps.get(key)
+    if result is None:
+        m = simplex.Model(k + 1)
+        for row, sense, rhs in rows:
+            m.constrain(row, sense, rhs)
+        result = lps[key] = m.maximize([0] * k + [1])
     if result.status == simplex.INFEASIBLE:
         return None
     if result.status != simplex.OPTIMAL:
@@ -226,7 +240,9 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
     face, in lattice order, takes the cones its allowed signs admit and
     no earlier face took.  Every cone is taken, because the ray along
     its sign vector leaves p through the relative interior of a proper
-    face.  One LP per cone then yields the witness point; a miss raises
+    face.  One LP per cone then yields the witness point, and the
+    simplex runs once per distinct LP: a dict local to this call holds
+    each result, so nothing outlives the call.  A miss raises
     RuntimeError, since it can only be a bug.
 
     Deterministic end to end; distinct cones could be dispatched in
@@ -258,10 +274,11 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
             for signs in product(*allowed):
                 taken.setdefault(signs, (face, allowed))
 
+    lps: dict = {}  # witness LP rows -> its result, for this call only
     witnesses = []
     for subset in enumerate_cones(p.dim):
         face, allowed = taken[subset.signs]
-        point = relint_meets_cone_interior(face, subset, dots, norms, p)
+        point = relint_meets_cone_interior(face, subset, dots, norms, p, lps)
         if point is None:
             raise RuntimeError(
                 f"the witness LP of cone {subset.signs} misses face "

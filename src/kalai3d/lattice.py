@@ -71,8 +71,8 @@ class FaceLattice:
         return f"FaceLattice(dim={self.dim}, f_vector={self.f_vector})"
 
 
-def _closure_mask(p: Polytope, vmask: int) -> tuple:
-    """Closure of a vertex set as (vertex mask, facet mask).
+def _closure_mask(p: Polytope, vmask: int) -> int:
+    """Vertex mask of the closure of a vertex set.
 
     The closure is the intersection of all facets containing the set;
     when no facet contains it the closure is the whole polytope.
@@ -87,7 +87,7 @@ def _closure_mask(p: Polytope, vmask: int) -> tuple:
     if fmask == -1:
         fmask = (1 << len(p.halfspaces)) - 1
     if fmask == 0:
-        return (1 << len(p.vertices)) - 1, 0
+        return (1 << len(p.vertices)) - 1
     out = -1
     fvm = p.facet_vertex_masks
     rest = fmask
@@ -95,7 +95,7 @@ def _closure_mask(p: Polytope, vmask: int) -> tuple:
         low = rest & -rest
         out &= fvm[low.bit_length() - 1]
         rest ^= low
-    return out, fmask
+    return out
 
 
 def _face_from_vmask(p: Polytope, vmask: int) -> Face:
@@ -116,7 +116,7 @@ def enumerate_faces(p: Polytope) -> FaceLattice:
     n = len(p.vertices)
     atoms = []
     for i in range(n):
-        amask, _ = _closure_mask(p, 1 << i)
+        amask = _closure_mask(p, 1 << i)
         if amask != 1 << i:
             raise RuntimeError(f"vertex {i} is not its own closure")
         atoms.append(amask)
@@ -126,7 +126,7 @@ def enumerate_faces(p: Polytope) -> FaceLattice:
     while queue:
         cur = queue.popleft()
         joins = Counter(
-            _closure_mask(p, cur | amask)[0] for amask in atoms if not amask & cur
+            _closure_mask(p, cur | amask) for amask in atoms if not amask & cur
         )
         for joined, count in joins.items():
             if count == (joined & ~cur).bit_count() and joined not in dims:

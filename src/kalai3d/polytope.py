@@ -5,13 +5,18 @@ enumeration builds every Polytope: brute force over basic solutions, where
 every full-rank d-subset of halfspace boundaries gives one candidate point
 and the feasible candidates are exactly the vertices.  That is the right
 tool at this package's scale (dimension up to about six, tens of
-halfspaces) and keeps every step exact and auditable.  The rows tight at
-each vertex, recorded while testing feasibility, give the rest as vertex
-bitmasks.  The set is full-dimensional exactly when no row is tight at
-every vertex, since such implicit equalities cut out its affine hull; a
-row is a facet exactly when its tight set is maximal, since every facet
-has a defining row and every proper face lies in a facet.  A V-input is
-the same enumeration run on its polar around the barycenter, read back
+halfspaces) and keeps every step exact and auditable.  The enumeration
+runs in integers: each canonical row n . x <= p/q becomes the integer row
+(q n | p), each basic point comes out of fraction-free (Bareiss)
+elimination as integer numerators over one positive denominator, and
+feasibility is a comparison of integers.  Rationals are built only for
+the points accepted as vertices.  The rows tight at each vertex,
+recorded while testing feasibility, give the rest as vertex bitmasks.
+The set is full-dimensional exactly when no row is tight at every
+vertex, since such implicit equalities cut out its affine hull; a row
+is a facet exactly when its tight set is maximal, since every facet has
+a defining row and every proper face lies in a facet.  A V-input is the
+same enumeration run on its polar around the barycenter, read back
 transposed: polar vertices are facets and vice versa.
 """
 
@@ -21,6 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .ratgeom import (
@@ -29,7 +35,6 @@ from .ratgeom import (
     affine_rank,
     rank,
     rational,
-    _reduced_echelon,
 )
 from . import simplex
 
@@ -240,17 +245,56 @@ def _assemble(d: int, verts: list, kept: list) -> Polytope:
     return p
 
 
+def _basic_point(rows: list) -> Optional[tuple]:
+    """The solution of the integer system [A | b] with A square, in integers.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): the pivot is the
+    first nonzero entry of its column, and each step replaces every other
+    row by (pivot * row - entry * pivot row) / previous pivot, a division
+    that is always exact.  At the end every diagonal entry is the last
+    pivot D = +/-det A and column d holds D x.  Only the columns right of
+    the current one are kept, since the rest are then 0 or D.  Returns
+    (numerators, denominator) with the denominator positive and the gcd
+    of all of them 1, or None when A is singular.
+    """
+    m = list(rows)  # the swaps must not reorder the caller's list
+    d = len(m)
+    prev = 1
+    for k in range(d):
+        # m[i] holds columns k..d of row i
+        i = next((i for i in range(k, d) if m[i][0]), None)
+        if i is None:
+            return None
+        m[k], m[i] = m[i], m[k]
+        pivot, lead = m[k][0], m[k][1:]
+        m = [
+            lead if i == k
+            else [(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], lead)]
+            for i, row in enumerate(m)
+        ]
+        prev = pivot
+    nums = [row[0] for row in m]
+    if prev < 0:
+        prev, nums = -prev, [-n for n in nums]
+    g = gcd(prev, *nums)
+    return tuple(n // g for n in nums), prev // g
+
+
 def vertices_from_hrep(hrep: HRep) -> Polytope:
     """The polytope of an intersection of halfspaces.
 
-    Each full-rank d-subset of boundaries gives a basic point.  The pass
-    that tests a point records the rows tight at it, or None when some
-    row rejects it; a point already tested is not tested again.  Then
-    each row's tight set is one vertex bitmask.  The intersection is
-    full-dimensional iff no row is tight at every vertex: such implicit
-    equalities cut out its affine hull.  A canonical row is a facet iff
-    no other row is tight at a strict superset of its vertices: every
-    facet has a defining row and every proper face lies in a facet.
+    Each full-rank d-subset of boundaries gives a basic point, solved in
+    integers by _basic_point on the rows (q n | p) of n . x <= p/q, as
+    numerators over a positive denominator in lowest terms.  The pass
+    that tests a point compares row . nums with p den for every row and
+    records the rows tight at it, or None when some row rejects it; a
+    point already tested is not tested again.  Only accepted points
+    become QVectors of rationals.  Then each row's tight set is one
+    vertex bitmask.  The intersection is full-dimensional iff no row is
+    tight at every vertex: such implicit equalities cut out its affine
+    hull.  A canonical row is a facet iff no other row is tight at a
+    strict superset of its vertices: every facet has a defining row and
+    every proper face lies in a facet.
 
     Raises UnboundedError when the recession cone is nontrivial and
     DegenerateError when the intersection is empty or has affine rank
@@ -261,20 +305,23 @@ def vertices_from_hrep(hrep: HRep) -> Polytope:
     if not _recession_is_trivial(hs, d):
         raise UnboundedError(f"unbounded: recession cone is nontrivial (dim {d})")
 
-    normal_rows = [list(h.normal.coords) for h in hs]
-    offsets = [h.offset for h in hs]
+    # n . x <= p/q with n primitive integer becomes the integer row (q n | p)
+    rows = [
+        [h.offset.denominator * int(c) for c in h.normal] + [h.offset.numerator]
+        for h in hs
+    ]
 
     # A subset containing two antiparallel boundaries with mismatched
     # offsets can never have a common point; skip it without eliminating.
     # For centrally symmetric inputs this prunes most subsets.
-    key_index = {tuple(row): i for i, row in enumerate(normal_rows)}
+    key_index = {h.normal.coords: i for i, h in enumerate(hs)}
     conflicts = set()
-    for i, row in enumerate(normal_rows):
-        j = key_index.get(tuple(-c for c in row))
-        if j is not None and j > i and offsets[i] != -offsets[j]:
+    for i, h in enumerate(hs):
+        j = key_index.get((-h.normal).coords)
+        if j is not None and j > i and h.offset != -hs[j].offset:
             conflicts.add((i, j))
 
-    tight = {}  # basic point -> ids of the rows tight at it, None if infeasible
+    tight = {}  # (nums, den) -> ids of the rows tight at it, None if infeasible
     for subset in combinations(range(len(hs)), d):
         if any(
             (subset[a], subset[b]) in conflicts
@@ -282,31 +329,32 @@ def vertices_from_hrep(hrep: HRep) -> Polytope:
             for b in range(a + 1, d)
         ):
             continue
-        aug = [normal_rows[i] + [offsets[i]] for i in subset]
-        pivots = _reduced_echelon(aug)
-        if len(pivots) != d or pivots[-1] == d:
-            continue  # not a basic point: rank-deficient or inconsistent
-        x = tuple(aug[r][-1] for r in range(d))
-        if x in tight:
+        x = _basic_point([rows[i] for i in subset])
+        if x is None or x in tight:
             continue
+        nums, den = x
         on = []
-        for r, (row, off) in enumerate(zip(normal_rows, offsets)):
-            s = Rational(0)
-            for a, b in zip(row, x):
-                s += a * b
-            if s > off:
+        for r, row in enumerate(rows):
+            s = sum(map(mul, row, nums))
+            rhs = row[-1] * den
+            if s > rhs:
                 on = None
                 break
-            if s == off:
+            if s == rhs:
                 on.append(r)
         tight[x] = on
 
-    verts = sorted(QVector(x) for x, on in tight.items() if on is not None)
+    accepted = sorted(
+        (QVector(rational(n, den) for n in nums), on)
+        for (nums, den), on in tight.items()
+        if on is not None
+    )
+    verts = [v for v, _ in accepted]
     if not verts:
         raise DegenerateError("empty: no feasible basic point exists")
     masks = [0] * len(hs)  # per row, the vertices it is tight at
-    for i, v in enumerate(verts):
-        for r in tight[v.coords]:
+    for i, (_, on) in enumerate(accepted):
+        for r in on:
             masks[r] |= 1 << i
     if (1 << len(verts)) - 1 in masks:
         raise DegenerateError(

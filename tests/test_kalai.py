@@ -1,7 +1,9 @@
 """The cone-to-face witness construction and its certificates."""
 
+import hashlib
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +40,9 @@ def dot_table(basis, p):
 def relint(face, subset, basis, p):
     """The witness LP with its dot table computed here from the basis."""
     norms = [b.dot(b) for b in basis]
-    return relint_meets_cone_interior(face, subset, dot_table(basis, p), norms, p)
+    return relint_meets_cone_interior(
+        face, subset, dot_table(basis, p), norms, p, {}
+    )
 
 
 def inclusion_holds(face, subset, basis, p):
@@ -391,3 +395,62 @@ class TestCertify:
         assert doc["verdict"] is False
         assert doc["cones"] == []
         assert doc["total"] == 7
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+def lp_key(face, subset, dots, norms):
+    """What the witness LP of one cone depends on: the face's signed dot
+    products on the selected basis vectors with their squared norms, then
+    its dot products on the unselected ones, each group in index order."""
+    ids = face.vertex_ids
+    selected = tuple(
+        (tuple(s * dots[v][i] for v in ids), norms[i]) for i, s in subset.selected()
+    )
+    unselected = tuple(tuple(dots[v][i] for v in ids) for i in subset.unselected())
+    return selected, unselected
+
+
+# golden.json key -> the polytope it certifies, with the standard basis
+MEMO_CASES = {
+    "box:1,1,1": lambda: generate("cube", dim=3),
+    "cube2xcross3": lambda: generate(
+        "product",
+        factors=(generate("cube", dim=2), generate("cross_polytope", dim=3)),
+    ),
+}
+
+
+class TestLPMemo:
+    """certify runs the simplex once per distinct witness LP, per call."""
+
+    @pytest.mark.parametrize("key", sorted(MEMO_CASES))
+    def test_one_simplex_per_distinct_lp(self, monkeypatch, key):
+        p = MEMO_CASES[key]()
+        basis = standard_basis(p.dim)
+        dots = dot_table(basis, p)
+        norms = [b.dot(b) for b in basis]
+        solved = []
+        maximize = kalai.simplex.Model.maximize
+
+        def counting(model, objective):
+            solved.append(objective)
+            return maximize(model, objective)
+
+        # the module object kalai holds, not a dotted path, which a second
+        # import of kalai3d in the same process could point elsewhere
+        monkeypatch.setattr(kalai.simplex.Model, "maximize", counting)
+        first = certify(p, basis)
+        keys = {lp_key(w.face, w.subset, dots, norms) for w in first.witnesses}
+        assert len(solved) == len(keys) < len(first.witnesses)
+
+        solved.clear()
+        second = certify(p, basis)
+        assert len(solved) == len(keys)
+        text = cli._json_text(second.to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[key]

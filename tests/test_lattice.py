@@ -22,7 +22,7 @@ def closure(p, vertex_ids):
     vmask = 0
     for i in vertex_ids:
         vmask |= 1 << i
-    return frozenset(_bits(_closure_mask(p, vmask)[0]))
+    return frozenset(_bits(_closure_mask(p, vmask)))
 
 
 def lattice_fingerprint(lat):

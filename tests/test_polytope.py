@@ -1,9 +1,11 @@
 """Dual-description conversions, validation, and generators."""
 
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kalai3d import simplex
@@ -16,12 +18,13 @@ from kalai3d.polytope import (
     VRep,
     build_polytope,
     canonical_halfspace,
+    _basic_point,
     _recession_is_trivial,
     facets_from_vrep,
     generate,
     vertices_from_hrep,
 )
-from kalai3d.ratgeom import QVector, rational
+from kalai3d.ratgeom import QVector, _reduced_echelon, rational
 
 
 def qv(*coords):
@@ -386,3 +389,42 @@ def test_recession_test_matches_coordinate_probes(case, paired):
         normals = normals + [[-c for c in n] for n in normals]
     hs = [hspace(n, 1) for n in normals]
     assert _recession_is_trivial(hs, d) == _recession_by_probes(hs, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda d: st.lists(
+            st.lists(
+                st.one_of(
+                    st.just(0),
+                    st.integers(min_value=-3, max_value=3),
+                    st.integers(min_value=-10**6, max_value=10**6),
+                ),
+                min_size=d + 1,
+                max_size=d + 1,
+            ),
+            min_size=d,
+            max_size=d,
+        )
+    )
+)
+@example([[0, 1, 2], [1, 0, 3]])  # zero leading entry: needs a row swap
+@example([[1, 2, 3], [2, 4, 5]])  # singular and inconsistent
+@example([[1, 2, 3], [2, 4, 6]])  # singular and consistent
+@example([[0, 1, 5], [1, 0, -7]])  # determinant -1
+@example([[-3, 6]])
+def test_basic_point_matches_rational_elimination(rows):
+    """The integer solver against Gauss-Jordan on Fractions: None exactly
+    when the square part has rank below d, else the same point as a
+    reduced fraction with a positive denominator."""
+    d = len(rows)
+    got = _basic_point(rows)
+    if len(_reduced_echelon([[Fraction(c) for c in r[:d]] for r in rows])) < d:
+        assert got is None
+        return
+    aug = [[Fraction(c) for c in r] for r in rows]
+    _reduced_echelon(aug)
+    nums, den = got
+    assert den > 0 and gcd(den, *nums) == 1
+    assert [Fraction(n, den) for n in nums] == [r[-1] for r in aug]
