@@ -1,17 +1,15 @@
 """Polytopes with exact dual descriptions and the conversions between them.
 
 A polytope here is always bounded and full-dimensional.  One
-enumeration builds every Polytope: brute force over basic solutions, where
-every full-rank d-subset of halfspace boundaries gives one candidate point
-and the feasible candidates are exactly the vertices.  That is the right
-tool at this package's scale (dimension up to about six, tens of
-halfspaces) and keeps every step exact and auditable.  The enumeration
-runs in integers: each canonical row n . x <= p/q becomes the integer row
-(q n | p), each basic point comes out of fraction-free (Bareiss)
-elimination as integer numerators over one positive denominator, and
-feasibility is a comparison of integers.  Rationals are built only for
-the points accepted as vertices.  The rows tight at each vertex,
-recorded while testing feasibility, give the rest as vertex bitmasks.
+enumeration builds every Polytope: exact double description on the cone
+over the halfspaces, which adds the halfspaces one at a time and keeps
+the extreme rays of the cone cut out so far, so its work follows the
+output rather than the number of d-subsets of halfspaces.  It runs in
+integers: each canonical row n . x <= p/q becomes the integer row
+(q n | p), each ray is an integer vector with the bitmask of the rows
+tight at it, and two rays are combined only when that bitmask test says
+they are adjacent.  Rationals are built only for the final rays, which
+are the vertices; their tight rows give the rest as vertex bitmasks.
 The set is full-dimensional exactly when no row is tight at every
 vertex, since such implicit equalities cut out its affine hull; a row
 is a facet exactly when its tight set is maximal, since every facet has
@@ -24,10 +22,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .ratgeom import (
     QVector,
@@ -36,7 +34,6 @@ from .ratgeom import (
     rank,
     rational,
 )
-from . import simplex
 
 __all__ = [
     "GeometryError",
@@ -209,27 +206,6 @@ def _dedup_dominated(halfspaces: Iterable[Halfspace]) -> list:
     return [best[k] for k in sorted(best)]
 
 
-def _recession_is_trivial(halfspaces: Sequence[Halfspace], dim: int) -> bool:
-    """Whether {x : n_i . x <= 0 for all i} is just the origin.
-
-    By Farkas' lemma that holds exactly when the normals positively span
-    R^dim: they have rank dim and some weights w_i >= 1 give
-    sum_i w_i n_i = 0.  With w_i = 1 + mu_i that is one LP over mu >= 0,
-    sum_i mu_i n_i = -sum_i n_i.  When the normals already sum to zero,
-    as they do whenever they come in +/- pairs, mu = 0 solves it.
-    """
-    normals = [h.normal for h in halfspaces]
-    if rank(normals) < dim:
-        return False
-    total = sum(normals, QVector.zero(dim))
-    if total.is_zero():
-        return True
-    m = simplex.Model(len(normals))
-    for column, t in zip(zip(*normals), total):
-        m.constrain(column, "==", -t)
-    return m.maximize([0] * len(normals)).status == simplex.OPTIMAL
-
-
 def _assemble(d: int, verts: list, kept: list) -> Polytope:
     """The Polytope of the (vertex ids, facet) pairs, sorted by vertex ids.
 
@@ -280,15 +256,82 @@ def _basic_point(rows: list) -> Optional[tuple]:
     return tuple(n // g for n in nums), prev // g
 
 
+def _double_description(d: int, rows: list) -> list:
+    """The vertices of {x : q n . x <= p for each row (q n | p)}, exactly.
+
+    Double description (Motzkin et al.; Fukuda and Prodon, 1996) on the
+    cone {(x, t) : p t - q n . x >= 0 for each row, t >= 0}, whose rays
+    with t > 0 are the vertices (x / t).  It starts from the first d + 1
+    independent rows, t >= 0 first: their cone is simplicial, with one
+    ray per row, where that row is 1 and the others are 0.  It adds the
+    other rows in order: rays on a row's positive side or boundary stay,
+    and each adjacent pair with values s_p > 0 > s_n on it gives the ray
+    s_p r_n - s_n r_p on its boundary, divided by the gcd of its entries.
+    Rays are integer vectors and each carries the bitmask of the added
+    rows it is tight at.  Two rays are adjacent exactly when their common
+    tight rows number at least d - 1 and no third ray is tight at all of
+    them.  The rays kept are exactly the extreme rays of the cone cut
+    out so far, so each vertex comes out once.
+
+    Returns ((numerators, positive denominator) in lowest terms, tight
+    row ids) per vertex.  Raises UnboundedError when the rows have rank
+    below d or some ray has t = 0: the recession cone is nontrivial.
+    """
+    cone = [[-c for c in row[:d]] + [row[d]] for row in rows] + [[0] * d + [1]]
+    start = []
+    for i in [len(rows), *range(len(rows))]:
+        if rank([QVector(cone[j]) for j in start + [i]]) > len(start):
+            start.append(i)
+            if len(start) == d + 1:
+                break
+    else:
+        raise UnboundedError(f"unbounded: recession cone is nontrivial (dim {d})")
+
+    rays = []  # (integer vector, mask of the added rows tight at it)
+    for j in start:
+        nums, _ = _basic_point([cone[i] + [int(i == j)] for i in start])
+        g = gcd(*nums)
+        rays.append((
+            tuple(c // g for c in nums), sum(1 << i for i in start if i != j)
+        ))
+    for i, row in enumerate(cone[:-1]):  # the last, t >= 0, starts them all
+        if i in start:
+            continue
+        bit = 1 << i
+        kept, pos, neg = [], [], []
+        for r, z in rays:
+            s = sum(map(mul, row, r))
+            if s > 0:
+                kept.append((r, z))
+                pos.append((r, z, s))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                kept.append((r, z | bit))
+        masks = [z for _, z in rays]
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() < d - 1 or any(
+                    z & common == common and z != zp and z != zn for z in masks
+                ):
+                    continue
+                r = [sp * b - sn * a for a, b in zip(rp, rn)]
+                g = gcd(*r)
+                kept.append((tuple(c // g for c in r), common | bit))
+        rays = kept
+
+    if any(r[d] == 0 for r, _ in rays):
+        raise UnboundedError(f"unbounded: recession cone is nontrivial (dim {d})")
+    return [((r[:d], r[d]), _bits(z)) for r, z in rays]
+
+
 def vertices_from_hrep(hrep: HRep) -> Polytope:
     """The polytope of an intersection of halfspaces.
 
-    Each full-rank d-subset of boundaries gives a basic point, solved in
-    integers by _basic_point on the rows (q n | p) of n . x <= p/q, as
-    numerators over a positive denominator in lowest terms.  The pass
-    that tests a point compares row . nums with p den for every row and
-    records the rows tight at it, or None when some row rejects it; a
-    point already tested is not tested again.  Only accepted points
+    Each canonical row n . x <= p/q becomes the integer row (q n | p),
+    and _double_description finds the vertices as numerators over a
+    positive denominator, with the rows tight at each.  Only vertices
     become QVectors of rationals.  Then each row's tight set is one
     vertex bitmask.  The intersection is full-dimensional iff no row is
     tight at every vertex: such implicit equalities cut out its affine
@@ -302,52 +345,14 @@ def vertices_from_hrep(hrep: HRep) -> Polytope:
     """
     d = hrep.dim
     hs = _dedup_dominated(hrep.halfspaces)
-    if not _recession_is_trivial(hs, d):
-        raise UnboundedError(f"unbounded: recession cone is nontrivial (dim {d})")
-
     # n . x <= p/q with n primitive integer becomes the integer row (q n | p)
     rows = [
         [h.offset.denominator * int(c) for c in h.normal] + [h.offset.numerator]
         for h in hs
     ]
-
-    # A subset containing two antiparallel boundaries with mismatched
-    # offsets can never have a common point; skip it without eliminating.
-    # For centrally symmetric inputs this prunes most subsets.
-    key_index = {h.normal.coords: i for i, h in enumerate(hs)}
-    conflicts = set()
-    for i, h in enumerate(hs):
-        j = key_index.get((-h.normal).coords)
-        if j is not None and j > i and h.offset != -hs[j].offset:
-            conflicts.add((i, j))
-
-    tight = {}  # (nums, den) -> ids of the rows tight at it, None if infeasible
-    for subset in combinations(range(len(hs)), d):
-        if any(
-            (subset[a], subset[b]) in conflicts
-            for a in range(d)
-            for b in range(a + 1, d)
-        ):
-            continue
-        x = _basic_point([rows[i] for i in subset])
-        if x is None or x in tight:
-            continue
-        nums, den = x
-        on = []
-        for r, row in enumerate(rows):
-            s = sum(map(mul, row, nums))
-            rhs = row[-1] * den
-            if s > rhs:
-                on = None
-                break
-            if s == rhs:
-                on.append(r)
-        tight[x] = on
-
     accepted = sorted(
         (QVector(rational(n, den) for n in nums), on)
-        for (nums, den), on in tight.items()
-        if on is not None
+        for (nums, den), on in _double_description(d, rows)
     )
     verts = [v for v, _ in accepted]
     if not verts:

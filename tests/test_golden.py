@@ -3,9 +3,8 @@
 Every key in bench/golden.json is certified from its H-file, written by
 bench/corpus.py, and its certificate's sha256 must match the recorded
 one.  One key of each family up to d = 3 is also certified from its
-V-file against the same hash, so the V path is held to the same bytes;
-the d = 5 keys stay H-only, since their V-input polar has C(32, 5)
-subsets.  The tracer test pins each function bench/tracer.py replaces, so
+V-file against the same hash, so the V path is held to the same bytes.
+The tracer test pins each function bench/tracer.py replaces, so
 that removing one fails here instead of in a traced benchmark run.
 """
 

@@ -169,13 +169,16 @@ class TestInteriorInclusion:
 def sign_table_mismatches(p, basis):
     """(face, cone) pairs where the sign table and the witness LP disagree."""
     dots = dot_table(basis, p)
+    norms = [b.dot(b) for b in basis]
+    lps = {}
     out = []
     for f in enumerate_faces(p).faces:
         if f.dim == p.dim:
             continue
         allowed = set(product(*_allowed_signs(f, dots)))
         for k in enumerate_cones(p.dim):
-            if (k.signs in allowed) != (relint(f, k, basis, p) is not None):
+            x = relint_meets_cone_interior(f, k, dots, norms, p, lps)
+            if (k.signs in allowed) != (x is not None):
                 out.append((f.vertex_ids, k.signs))
     return out
 

@@ -1,16 +1,18 @@
 """Dual-description conversions, validation, and generators."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kalai3d import simplex
+from kalai3d import polytope, simplex
 from kalai3d.polytope import (
     DegenerateError,
+    GeometryError,
     Halfspace,
     HRep,
     Polytope,
@@ -19,7 +21,6 @@ from kalai3d.polytope import (
     build_polytope,
     canonical_halfspace,
     _basic_point,
-    _recession_is_trivial,
     facets_from_vrep,
     generate,
     vertices_from_hrep,
@@ -92,7 +93,6 @@ class TestVerticesFromHRep:
             vertices_from_hrep(HRep(2, (hspace((1, 0), 1), hspace((-1, 0), 1))))
 
     def test_unbounded_without_antiparallel_pairs(self):
-        # exercises the LP fallback in the recession test
         hs = tuple(hspace(n, 1) for n in ((1, 1), (1, 0), (0, 1)))
         with pytest.raises(UnboundedError):
             vertices_from_hrep(HRep(2, hs))
@@ -100,9 +100,9 @@ class TestVerticesFromHRep:
     @pytest.mark.parametrize(
         "last, corners",
         [
-            # the normals sum to zero: no LP needed
+            # the normals sum to zero
             ((-1, -1), ((-2, 1), (1, -2), (1, 1))),
-            # they sum to zero only with weights (1, 2, 1): the LP finds them
+            # they sum to zero only with weights (1, 2, 1)
             ((-1, -2), ((-3, 1), (1, -1), (1, 1))),
         ],
         ids=["sum0", "lp"],
@@ -352,14 +352,13 @@ def test_hull_of_symmetric_points_roundtrips(raw):
         )
 
 
-def _recession_by_probes(halfspaces, d):
+def _recession_by_probes(normals, d):
     """Reference: probe {x : n . x <= 0} along each signed coordinate
     direction, with each free x_i split as x_i+ - x_i-."""
     for j, sign in product(range(d), (1, -1)):
         m = simplex.Model(2 * d)
-        for h in halfspaces:
-            n = list(h.normal)
-            m.constrain([-c for c in n] + n, ">=", 0)
+        for n in normals:
+            m.constrain([-c for c in n] + list(n), ">=", 0)
         unit = [int(i == j) for i in range(d)]
         m.constrain(unit + [-c for c in unit], "==", sign)
         if m.maximize([0] * (2 * d)).status == simplex.OPTIMAL:
@@ -384,11 +383,143 @@ def _recession_by_probes(halfspaces, d):
     st.booleans(),
 )
 def test_recession_test_matches_coordinate_probes(case, paired):
+    """With every offset 1 the origin is interior, so the build fails
+    exactly when the recession cone is nontrivial."""
     d, normals = case
     if paired:
         normals = normals + [[-c for c in n] for n in normals]
-    hs = [hspace(n, 1) for n in normals]
-    assert _recession_is_trivial(hs, d) == _recession_by_probes(hs, d)
+    try:
+        build_polytope(HRep(d, tuple(hspace(n, 1) for n in normals)))
+        bounded = True
+    except UnboundedError:
+        bounded = False
+    assert bounded == _recession_by_probes(normals, d)
+
+
+def _subset_loop(d, rows):
+    """Reference for _double_description: every basic point of a
+    d-subset of rows (q n | p), kept when it satisfies every row, after
+    the recession cone is probed directly."""
+    if not _recession_by_probes([row[:d] for row in rows], d):
+        raise UnboundedError(f"unbounded: recession cone is nontrivial (dim {d})")
+    out = {}
+    for subset in combinations(rows, d):
+        x = _basic_point(list(subset))
+        if x is None or x in out:
+            continue
+        nums, den = x
+        sides = [sum(map(mul, row, nums)) - row[-1] * den for row in rows]
+        if max(sides) <= 0:
+            out[x] = tuple(r for r, s in enumerate(sides) if s == 0)
+    return list(out.items())
+
+
+def _build_both_ways(hrep):
+    """vertices_from_hrep by double description and by the subset loop:
+    each gives the (vertices, halfspaces, incidence) or the
+    (class, message) of the error it raised."""
+    got = []
+    for enumerate_vertices in (polytope._double_description, _subset_loop):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polytope, "_double_description", enumerate_vertices)
+            try:
+                p = vertices_from_hrep(hrep)
+                got.append((p.vertices, p.halfspaces, p.incidence))
+            except GeometryError as e:
+                got.append((type(e), str(e)))
+    return got
+
+
+# (dimension, [(normal, (offset numerator, denominator))])
+CROSS3 = [(n, (1, 1)) for n in product((1, -1), repeat=3)]
+TWO_ORBITS = [(n, (2, 1)) for n in product((1, -1), repeat=3)] + [
+    ((s, 0, 0), (3, 2)) for s in (1, -1)
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(
+                st.tuples(
+                    st.lists(
+                        st.integers(min_value=-2, max_value=2),
+                        min_size=d,
+                        max_size=d,
+                    ).filter(any),
+                    st.tuples(
+                        st.integers(min_value=-1, max_value=3),
+                        st.sampled_from((1, 2)),
+                    ),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+        )
+    ),
+    st.sampled_from(("plain", "antiparallel", "mirrored", "boxed")),
+)
+@example((3, CROSS3), "plain")  # every vertex on 4 rows, d = 3
+@example((3, TWO_ORBITS), "plain")  # two rows redundant, one a facet
+# cuts the 2-face x1 = x4 = -2 off the 4-cube and touches its 2-face
+# x2 = x3 = 2: some rays share d - 1 tight rows without being adjacent
+@example((4, [((-1, 0, 0, -1), (2, 1)), ((0, 1, 1, 0), (4, 1))]), "boxed")
+@example((2, [((1, 0), (-1, 1)), ((-1, 0), (-1, 1)),
+              ((0, 1), (1, 1)), ((0, -1), (1, 1))]), "plain")  # empty
+@example((2, [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((-1, 0), (1, 1))]),
+         "antiparallel")  # lower-dimensional
+@example((2, [((1, 1), (1, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 1))]),
+         "plain")  # unbounded, no antiparallel pair
+@example((2, [((1, 0), (-1, 1)), ((-1, 0), (-1, 1)), ((0, 1), (1, 1))]),
+         "plain")  # empty, with a nontrivial recession cone: unbounded
+@example((3, [((1, 0, 0), (1, 1)), ((-1, 0, 0), (1, 1)),
+              ((0, 1, 0), (1, 1)), ((0, -1, 0), (1, 1))]), "plain")  # rank 2
+def test_double_description_matches_subset_loop(case, shape):
+    """The built polytope, or the error raised, is the same from double
+    description as from the brute force over d-subsets of rows, on rows
+    with or without their antiparallel partners (the same offset, or the
+    offset drawn for the row after it) or inside the box |x_i| <= 2,
+    degenerate vertices, redundant rows, and empty, lower-dimensional
+    and unbounded sets."""
+    d, rows = case
+    if shape == "boxed":
+        rows = rows + [
+            (tuple(s * int(i == j) for j in range(d)), (2, 1))
+            for i in range(d)
+            for s in (1, -1)
+        ]
+    elif shape == "antiparallel":
+        rows = rows + [(tuple(-c for c in n), o) for n, o in rows]
+    elif shape == "mirrored":
+        rows = rows + [
+            (tuple(-c for c in n), rows[(i + 1) % len(rows)][1])
+            for i, (n, _) in enumerate(rows)
+        ]
+    hrep = HRep(d, tuple(hspace(n, rational(*o)) for n, o in rows))
+    dd, brute = _build_both_ways(hrep)
+    assert dd == brute
+
+
+@pytest.mark.parametrize(
+    "make, counts",
+    [
+        (lambda: build_polytope(generate("cube", dim=6).vrep()), (64, 12)),
+        (lambda: build_polytope(generate("cross_polytope", dim=6).hrep()), (12, 64)),
+        (
+            # 96 rows, so C(96, 6) subsets: too many for the subset loop;
+            # floating-point qhull counts the same 36 vertices and 96 facets
+            lambda: generate("random_reflection_symmetric", dim=6, m=2, seed=1),
+            (36, 96),
+        ),
+    ],
+    ids=["cube6_from_points", "cross6_from_halfspaces", "random6m2"],
+)
+def test_dimension_six_counts(make, counts):
+    """Builds that the subset loop could not finish in a test's time."""
+    p = make()
+    assert (len(p.vertices), len(p.halfspaces)) == counts
 
 
 @settings(max_examples=300, deadline=None)
