@@ -27,13 +27,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Union
 
-from .ratgeom import (
-    QVector,
-    Rational,
-    affine_rank,
-    rank,
-    rational,
-)
+from .ratgeom import QVector, Rational, affine_rank, echelon, rational
 
 __all__ = [
     "GeometryError",
@@ -221,41 +215,6 @@ def _assemble(d: int, verts: list, kept: list) -> Polytope:
     return p
 
 
-def _basic_point(rows: list) -> Optional[tuple]:
-    """The solution of the integer system [A | b] with A square, in integers.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss): the pivot is the
-    first nonzero entry of its column, and each step replaces every other
-    row by (pivot * row - entry * pivot row) / previous pivot, a division
-    that is always exact.  At the end every diagonal entry is the last
-    pivot D = +/-det A and column d holds D x.  Only the columns right of
-    the current one are kept, since the rest are then 0 or D.  Returns
-    (numerators, denominator) with the denominator positive and the gcd
-    of all of them 1, or None when A is singular.
-    """
-    m = list(rows)  # the swaps must not reorder the caller's list
-    d = len(m)
-    prev = 1
-    for k in range(d):
-        # m[i] holds columns k..d of row i
-        i = next((i for i in range(k, d) if m[i][0]), None)
-        if i is None:
-            return None
-        m[k], m[i] = m[i], m[k]
-        pivot, lead = m[k][0], m[k][1:]
-        m = [
-            lead if i == k
-            else [(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], lead)]
-            for i, row in enumerate(m)
-        ]
-        prev = pivot
-    nums = [row[0] for row in m]
-    if prev < 0:
-        prev, nums = -prev, [-n for n in nums]
-    g = gcd(prev, *nums)
-    return tuple(n // g for n in nums), prev // g
-
-
 def _double_description(d: int, rows: list) -> list:
     """The vertices of {x : q n . x <= p for each row (q n | p)}, exactly.
 
@@ -278,21 +237,22 @@ def _double_description(d: int, rows: list) -> list:
     below d or some ray has t = 0: the recession cone is nontrivial.
     """
     cone = [[-c for c in row[:d]] + [row[d]] for row in rows] + [[0] * d + [1]]
-    start = []
-    for i in [len(rows), *range(len(rows))]:
-        if rank([QVector(cone[j]) for j in start + [i]]) > len(start):
-            start.append(i)
-            if len(start) == d + 1:
-                break
-    else:
+    # the first d + 1 independent rows, t >= 0 first, are the pivot
+    # columns of the transposed rows taken in that order
+    order = [len(rows), *range(len(rows))]
+    start = [order[c] for c in echelon(list(zip(*(cone[i] for i in order))))]
+    if len(start) <= d:
         raise UnboundedError(f"unbounded: recession cone is nontrivial (dim {d})")
 
+    # [S | I] reduces to D [I | S^-1]: column j of D S^-1 is the start
+    # ray tight at every start row but the j-th
+    work = [cone[i] + [int(i == j) for j in start] for i in start]
+    echelon(work)
     rays = []  # (integer vector, mask of the added rows tight at it)
-    for j in start:
-        nums, _ = _basic_point([cone[i] + [int(i == j)] for i in start])
-        g = gcd(*nums)
+    for j, col in zip(start, zip(*(row[d + 1:] for row in work))):
+        g = gcd(*col)
         rays.append((
-            tuple(c // g for c in nums), sum(1 << i for i in start if i != j)
+            tuple(c // g for c in col), sum(1 << i for i in start if i != j)
         ))
     for i, row in enumerate(cone[:-1]):  # the last, t >= 0, starts them all
         if i in start:

@@ -1,15 +1,19 @@
 """Exact rational linear algebra for the rest of the package.
 
-Every coordinate, offset, and solver pivot in this package is an
-arbitrary-precision rational, kept in lowest terms with a positive
-denominator.  Nothing here ever touches floating point.  The scalar
-type Rational is fractions.Fraction, which prints as "p/q" or "p".
+Every coordinate and offset in this package is an arbitrary-precision
+rational, kept in lowest terms with a positive denominator.  Nothing
+here ever touches floating point.  The scalar type Rational is
+fractions.Fraction, which prints as "p/q" or "p".  Elimination runs in
+integers: pivot is the one fraction-free pivot step, behind echelon
+(and so affine_rank and kernel_basis), the double description's start
+and the simplex tableau.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction as Rational
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -18,7 +22,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "QVector",
-    "rank",
     "affine_rank",
     "kernel_basis",
 ]
@@ -137,40 +140,56 @@ class QVector:
             )
 
 
-def _reduced_echelon(rows: list) -> list:
-    """In-place Gauss-Jordan elimination; returns the pivot column list.
+def pivot(rows: list, r: int, c: int, den: int) -> int:
+    """One fraction-free (Bareiss) pivot on rows[r][c], in place.
 
-    Pivot choice is the first row with a nonzero entry in the current
-    column, which keeps every downstream computation deterministic.
+    rows are integer numerators over the common denominator den > 0.
+    Every other row becomes (p * row - f * pivot row) // den, with p the
+    pivot and f the row's entry in column c: a division that is always
+    exact, since every entry stays a minor of the starting matrix.  The
+    pivot row is negated first when p < 0, so the new denominator, which
+    is returned, is |p| > 0.  Numerators over it are those of the same
+    rational Gauss-Jordan step.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    if rows[r][c] < 0:
+        rows[r] = [-v for v in rows[r]]
+    lead = rows[r]
+    p = lead[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * a - f * b) // den for a, b in zip(row, lead)]
+    return p
+
+
+def echelon(rows: list) -> list:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    The pivot of each column is the first remaining row with a nonzero
+    entry there.  Returns the pivot columns; the first len(pivots) rows
+    end as D times the reduced row echelon form, where D > 0 is the
+    entry of every row at its pivot, and the rest are zero.
+    """
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    den = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [x / inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        rows[r], rows[i] = rows[i], rows[r]
+        den = pivot(rows, r, c, den)
         pivots.append(c)
-        r += 1
     return pivots
+
+
+def _integer_rows(rows: Iterable) -> list:
+    """Each rational row times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
 
 
 def affine_rank(points: Sequence[QVector]) -> int:
@@ -182,15 +201,8 @@ def affine_rank(points: Sequence[QVector]) -> int:
     if not points:
         raise ValueError("affine_rank of an empty point list")
     base = points[0]
-    diffs = [list((p - base).coords) for p in points[1:]]
-    if not diffs:
-        return 0
-    return len(_reduced_echelon(diffs))
-
-
-def rank(rows: Sequence[QVector]) -> int:
-    """Rank of the matrix with the given rows."""
-    return len(_reduced_echelon([list(r.coords) for r in rows]))
+    diffs = _integer_rows((p - base).coords for p in points[1:])
+    return len(echelon(diffs))
 
 
 def kernel_basis(rows: Sequence[QVector]) -> list:
@@ -200,15 +212,15 @@ def kernel_basis(rows: Sequence[QVector]) -> list:
     Returns one vector per free column of the reduced echelon form;
     an empty list means the kernel is trivial.
     """
-    work = [list(r.coords) for r in rows]
-    pivots = _reduced_echelon(work)
+    work = _integer_rows(r.coords for r in rows)
+    pivots = echelon(work)
+    den = work[0][pivots[0]] if pivots else 1
     ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in set(pivots)]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Rational(0)] * ncols
         vec[fc] = Rational(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
+            vec[pc] = Rational(-work[r][fc], den)
         basis.append(QVector(vec))
     return basis

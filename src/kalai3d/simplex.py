@@ -1,23 +1,25 @@
 """Exact two-phase simplex over the rationals.
 
-Internal machinery: the geometric modules use this for the boundedness
-test, for deciding whether a relative interior meets an open cone, and
-for the definition-level face oracle.  All three need the same shape of
-LP, so Model has exactly that shape: nvars variables, each >= 0, dense
-rows with sense ">=" or "==", and one dense objective to maximize.
+Internal machinery: the geometric modules use this for deciding whether
+a relative interior meets an open cone and for the definition-level
+face oracle.  Both need the same shape of LP, so Model has exactly that
+shape: nvars variables, each >= 0, dense rows with sense ">=" or "==",
+and one dense objective to maximize.
 
 Pivoting follows Bland's rule (smallest eligible column enters, ties on
 the leaving row broken by smallest basic variable), which terminates on
-every input without any perturbation.  All tableau entries are exact
-rationals, so OPTIMAL / INFEASIBLE / UNBOUNDED are decided, not estimated.
+every input without any perturbation.  The tableau holds integers over
+one positive denominator and every pivot is ratgeom.pivot, so it is
+exact and OPTIMAL / INFEASIBLE / UNBOUNDED are decided, not estimated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
-from .ratgeom import Rational
+from .ratgeom import Rational, pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -44,7 +46,7 @@ class Model:
     """max c.x subject to dense rows over x >= 0, with x of length nvars.
 
     Tableau columns: the variables first, then one surplus column per
-    ">=" row in row order; _solve appends the artificials.
+    ">=" row in row order, then one artificial per row.
     """
 
     def __init__(self, nvars: int) -> None:
@@ -62,140 +64,127 @@ class Model:
         self._rows.append(([Rational(c) for c in row], sense, Rational(rhs)))
 
     def maximize(self, objective: Sequence) -> LPResult:
-        """Solve max objective . x subject to the recorded constraints."""
+        """Solve max objective . x subject to the recorded constraints.
+
+        The tableau is the rational one times the lcm L of every
+        denominator in the rows, right-hand sides and objective, held as
+        integers over one positive denominator.  One uniform scale keeps
+        every sign and every ratio within a row, so Bland's rule takes
+        the same pivots as on the rationals; per-row scales would not,
+        since the phase-1 cost row sums the rows.
+        """
         n = self._nvars
         if len(objective) != n:
             raise ValueError(
                 f"objective of length {len(objective)} for {n} variables"
             )
-        nsurplus = sum(1 for _, sense, _ in self._rows if sense == GE)
-        rows = []
-        rhs = []
-        surplus_at = n
-        for coeffs, sense, b in self._rows:
-            row = coeffs + [Rational(0)] * nsurplus
-            if sense == GE:
-                row[surplus_at] = Rational(-1)
-                surplus_at += 1
-            rows.append(row)
-            rhs.append(b)
-        # minimize the negated objective
-        cost = [-Rational(c) for c in objective] + [Rational(0)] * nsurplus
+        objective = [Rational(c) for c in objective]
+        scale = lcm(
+            *(v.denominator for coeffs, _, b in self._rows for v in (*coeffs, b)),
+            *(c.denominator for c in objective),
+        )
 
-        status, xcols, minvalue = _solve(rows, rhs, cost)
+        def whole(v):
+            return v.numerator * (scale // v.denominator)
+
+        m = len(self._rows)
+        ncols = n + sum(1 for _, sense, _ in self._rows if sense == GE)
+        tableau = []
+        surplus_at = n
+        for i, (coeffs, sense, b) in enumerate(self._rows):
+            row = [whole(c) for c in coeffs] + [0] * (ncols - n + m) + [whole(b)]
+            if sense == GE:
+                row[surplus_at] = -scale
+                surplus_at += 1
+            if b < 0:
+                row = [-v for v in row]
+            row[ncols + i] = scale  # the row's artificial
+            tableau.append(row)
+        # Reduced phase-1 cost row: artificials are basic, so subtract every
+        # tableau row from the raw cost (which is L on each artificial column).
+        phase1 = [0] * ncols + [scale] * m + [0]
+        for row in tableau:
+            phase1 = [a - b for a, b in zip(phase1, row)]
+        # The real cost row minimizes the negated objective; artificials
+        # cost 0 in it, so it is already reduced with respect to the
+        # initial basis.
+        phase2 = [-whole(c) for c in objective] + [0] * (ncols - n + m + 1)
+
+        status, tableau, basis, den = _solve(tableau + [phase1, phase2], ncols)
         if status != OPTIMAL:
             return LPResult(status=status)
-        return LPResult(status=OPTIMAL, value=-minvalue, x=tuple(xcols[:n]))
+        x = [0] * ncols
+        for row, var in zip(tableau, basis):
+            x[var] = row[-1]
+        return LPResult(
+            status=OPTIMAL,
+            value=Rational(tableau[-1][-1], den * scale),
+            x=tuple(Rational(v, den) for v in x[:n]),
+        )
 
 
-def _solve(rows: list, rhs: list, cost: list):
-    """min cost.x over {rows.x == rhs, x >= 0}; returns (status, x, value).
+def _solve(tableau: list, ncols: int):
+    """Two phases of Bland's rule on integer rows [A | artificials | b]
+    over ncols columns of A, followed by the phase-1 and the real cost
+    row; returns (status, rows, basis, denominator).
 
-    Phase 1 gives every row an artificial variable and minimizes their
-    sum; phase 2 continues with the real cost row carried through the
-    same pivots.
+    Phase 1 starts from the artificial basis and minimizes their sum;
+    phase 2 continues with the real cost row carried through the same
+    pivots.  At OPTIMAL the rows are the constraint rows, basis[i] is
+    the variable basic in row i, and the real cost row comes last.
     """
-    m = len(rows)
-    n = len(cost)
-    tableau = []
-    for i, row in enumerate(rows):
-        full = list(row)
-        b = rhs[i]
-        if b < 0:
-            full = [-v for v in full]
-            b = -b
-        full.extend(Rational(1) if j == i else Rational(0) for j in range(m))
-        full.append(b)
-        tableau.append(full)
-    basis = [n + i for i in range(m)]
-
-    # Reduced phase-1 cost row: artificials are basic, so subtract every
-    # tableau row from the raw cost (which is 1 on each artificial column).
-    phase1 = [Rational(0)] * n + [Rational(1)] * m + [Rational(0)]
-    for row in tableau:
-        phase1 = [a - b for a, b in zip(phase1, row)]
-
-    # The real cost row rides along from the start; artificials cost 0 in
-    # it, so it is already reduced with respect to the initial basis.
-    phase2 = list(cost) + [Rational(0)] * m + [Rational(0)]
-
-    costs = [phase1, phase2]
-    if _bland(tableau, costs, 0, basis, n + m) != OPTIMAL:
+    m = len(tableau) - 2
+    basis = [ncols + i for i in range(m)]
+    status, den = _bland(tableau, basis, m, ncols + m, 1)
+    if status != OPTIMAL:
         raise RuntimeError("phase 1 unbounded, but its cost is bounded below by 0")
-    if phase1[-1] != 0:
-        return INFEASIBLE, None, None
+    if tableau[m][-1]:
+        return INFEASIBLE, None, None, None
 
-    # Pivot leftover artificials out of the basis; a row where that is
-    # impossible is identically zero and gets dropped.
+    # Pivot leftover artificials out of the basis on any nonzero entry (pivot
+    # keeps the denominator positive); a row where that is impossible is
+    # identically zero and gets dropped.
     keep = []
     for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        entering = None
-        for j in range(n):
-            if tableau[i][j]:
-                entering = j
-                break
-        if entering is not None:
-            _pivot(tableau, costs, basis, i, entering)
-            keep.append(i)
-    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
+        if basis[i] >= ncols:
+            j = next((j for j in range(ncols) if tableau[i][j]), None)
+            if j is None:
+                continue
+            den = pivot(tableau, i, j, den)
+            basis[i] = j
+        keep.append(i)
+    tableau = [tableau[i][:ncols] + tableau[i][-1:] for i in keep + [m + 1]]
     basis = [basis[i] for i in keep]
-    costs = [c[:n] + [c[-1]] for c in costs]
 
-    status = _bland(tableau, costs, 1, basis, n)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
-    x = [Rational(0)] * n
-    for i, var in enumerate(basis):
-        x[var] = tableau[i][-1]
-    return OPTIMAL, x, -costs[1][-1]
+    status, den = _bland(tableau, basis, len(keep), ncols, den)
+    return status, tableau, basis, den
 
 
-def _bland(tableau, costs, active, basis, ncols):
-    """Run simplex iterations under Bland's rule on costs[active]."""
-    crow = costs[active]
+def _bland(tableau, basis, active, ncols, den):
+    """Pivot under Bland's rule on cost row tableau[active] until no
+    column below ncols has a negative reduced cost; returns (status,
+    denominator).
+
+    The smallest such column enters.  The leaving row has the least
+    ratio b / a over entries a > 0, compared by cross-multiplication,
+    with ties broken by the smaller basic variable.
+    """
     while True:
-        entering = None
-        for j in range(ncols):
-            if crow[j] < 0:
-                entering = j
-                break
+        crow = tableau[active]
+        entering = next((j for j in range(ncols) if crow[j] < 0), None)
         if entering is None:
-            return OPTIMAL
+            return OPTIMAL, den
         leaving = None
-        best_ratio = None
-        for i, row in enumerate(tableau):
+        for i, var in enumerate(basis):
+            row = tableau[i]
             a = row[entering]
             if a > 0:
-                ratio = row[-1] / a
-                if (
-                    leaving is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    leaving = i
-                    best_ratio = ratio
+                if leaving is not None:
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and var > basis[leaving]):
+                        continue
+                leaving, best_b, best_a = i, row[-1], a
         if leaving is None:
-            return UNBOUNDED
-        _pivot(tableau, costs, basis, leaving, entering)
-
-
-def _pivot(tableau, costs, basis, r, c) -> None:
-    pivot_row = tableau[r]
-    p = pivot_row[c]
-    if p != 1:
-        pivot_row = [v / p for v in pivot_row]
-        tableau[r] = pivot_row
-    for i, row in enumerate(tableau):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            tableau[i] = [a - f * b for a, b in zip(row, pivot_row)]
-    for k, row in enumerate(costs):
-        f = row[c]
-        if f:
-            costs[k][:] = [a - f * b for a, b in zip(row, pivot_row)]
-    basis[r] = c
+            return UNBOUNDED, den
+        den = pivot(tableau, leaving, entering, den)
+        basis[leaving] = entering

@@ -1,8 +1,6 @@
 """Dual-description conversions, validation, and generators."""
 
-from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
 from operator import mul
 
 import pytest
@@ -20,12 +18,12 @@ from kalai3d.polytope import (
     VRep,
     build_polytope,
     canonical_halfspace,
-    _basic_point,
     facets_from_vrep,
     generate,
     vertices_from_hrep,
 )
-from kalai3d.ratgeom import QVector, _reduced_echelon, rational
+from kalai3d.ratgeom import QVector, rational
+from reference import basic_point
 
 
 def qv(*coords):
@@ -398,13 +396,14 @@ def test_recession_test_matches_coordinate_probes(case, paired):
 
 def _subset_loop(d, rows):
     """Reference for _double_description: every basic point of a
-    d-subset of rows (q n | p), kept when it satisfies every row, after
-    the recession cone is probed directly."""
+    d-subset of rows (q n | p), solved by rational Gauss-Jordan, kept
+    when it satisfies every row, after the recession cone is probed
+    directly."""
     if not _recession_by_probes([row[:d] for row in rows], d):
         raise UnboundedError(f"unbounded: recession cone is nontrivial (dim {d})")
     out = {}
     for subset in combinations(rows, d):
-        x = _basic_point(list(subset))
+        x = basic_point(subset)
         if x is None or x in out:
             continue
         nums, den = x
@@ -520,42 +519,3 @@ def test_dimension_six_counts(make, counts):
     """Builds that the subset loop could not finish in a test's time."""
     p = make()
     assert (len(p.vertices), len(p.halfspaces)) == counts
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda d: st.lists(
-            st.lists(
-                st.one_of(
-                    st.just(0),
-                    st.integers(min_value=-3, max_value=3),
-                    st.integers(min_value=-10**6, max_value=10**6),
-                ),
-                min_size=d + 1,
-                max_size=d + 1,
-            ),
-            min_size=d,
-            max_size=d,
-        )
-    )
-)
-@example([[0, 1, 2], [1, 0, 3]])  # zero leading entry: needs a row swap
-@example([[1, 2, 3], [2, 4, 5]])  # singular and inconsistent
-@example([[1, 2, 3], [2, 4, 6]])  # singular and consistent
-@example([[0, 1, 5], [1, 0, -7]])  # determinant -1
-@example([[-3, 6]])
-def test_basic_point_matches_rational_elimination(rows):
-    """The integer solver against Gauss-Jordan on Fractions: None exactly
-    when the square part has rank below d, else the same point as a
-    reduced fraction with a positive denominator."""
-    d = len(rows)
-    got = _basic_point(rows)
-    if len(_reduced_echelon([[Fraction(c) for c in r[:d]] for r in rows])) < d:
-        assert got is None
-        return
-    aug = [[Fraction(c) for c in r] for r in rows]
-    _reduced_echelon(aug)
-    nums, den = got
-    assert den > 0 and gcd(den, *nums) == 1
-    assert [Fraction(n, den) for n in nums] == [r[-1] for r in aug]

@@ -3,22 +3,24 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kalai3d import ratgeom
 from kalai3d.ratgeom import (
     QVector,
     affine_rank,
+    echelon,
     format_rational,
     kernel_basis,
     parse_rational,
-    rank,
     rational,
 )
+from reference import rank, reduced_echelon
 
 
 def qv(*coords):
@@ -148,7 +150,52 @@ class TestKernel:
     def test_members_annihilate(self, rows):
         rows = [QVector(r) for r in rows]
         basis = kernel_basis(rows)
-        assert len(basis) + rank(rows) == 4
+        assert len(basis) + rank(r.coords for r in rows) == 4
         for k in basis:
             for row in rows:
                 assert row.dot(k) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(
+        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=7)
+    ).flatmap(
+        lambda shape: st.lists(
+            st.lists(
+                st.one_of(
+                    st.just(0),
+                    st.integers(min_value=-3, max_value=3),
+                    st.integers(min_value=-10**6, max_value=10**6),
+                ),
+                min_size=shape[1],
+                max_size=shape[1],
+            ),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+)
+@example([[0, 1, 2], [1, 0, 3]])  # zero leading entry: needs a row swap
+@example([[1, 2, 3], [2, 4, 5]])  # singular and inconsistent
+@example([[1, 2, 3], [2, 4, 6]])  # singular and consistent
+@example([[0, 1, 5], [1, 0, -7]])  # determinant -1
+@example([[-3, 6]])
+@example([[2, 4], [1, 2], [3, 6]])  # tall, rank 1
+@example([[0, 0, 2, 1], [0, 0, 4, 2]])  # wide, rank 1, leading zero columns
+@example([[0, 0], [0, 0]])  # rank 0
+def test_echelon_matches_rational_elimination(rows):
+    """The integer elimination against Gauss-Jordan on Fractions: the
+    same pivot columns, the first rank rows equal to D > 0 times the
+    reduced rows, where D is each row's entry at its pivot, and zero
+    rows below the rank."""
+    want = [[Fraction(c) for c in r] for r in rows]
+    want_pivots = reduced_echelon(want)
+    got = [list(r) for r in rows]
+    assert echelon(got) == want_pivots
+    k = len(want_pivots)
+    den = got[0][want_pivots[0]] if k else 1
+    assert den > 0
+    for g, w in zip(got[:k], want[:k]):
+        assert g == [den * v for v in w]
+    assert all(not any(r) for r in got[k:])

@@ -4,9 +4,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
+from kalai3d import simplex
 from kalai3d.ratgeom import rational
 from kalai3d.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Model
 
@@ -33,8 +35,8 @@ def test_exact_fractional_optimum():
 
 
 def test_integer_input_gives_fractions():
-    # int rows and rhs must not reach the tableau as ints: int / int in a
-    # pivot would be a float
+    # the tableau holds integer numerators over one denominator; x and
+    # the value must still come back as Fractions, not ints
     m = Model(3)
     m.constrain([-2, -1, 0], ">=", -1)
     m.constrain([-1, -3, 0], ">=", -1)
@@ -168,3 +170,67 @@ def test_matches_vertex_enumeration_oracle(rows, obj):
     px, py = (u - box for u in got.x)
     assert all(a * px + b * py <= c for a, b, c in ineqs)
     assert obj[0] * px + obj[1] * py == value
+
+
+def _counting(fn, calls):
+    def wrapper(*args):
+        calls.append(None)
+        return fn(*args)
+
+    return wrapper
+
+
+entry = st.one_of(
+    st.just(0),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-6, max_value=6),
+        st.sampled_from((1, 2, 3, 4, 6)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.one_of(
+                        st.lists(entry, min_size=n, max_size=n),
+                        st.just([0] * n),  # a zero row
+                    ),
+                    st.sampled_from((">=", "==")),
+                    entry,
+                ),
+                max_size=5,
+            ),
+            st.one_of(
+                st.lists(entry, min_size=n, max_size=n),
+                st.just([0] * n),  # every feasible point is optimal
+            ),
+        )
+    )
+)
+# the optimum is the whole edge x + y = 1: not unique
+@example((2, [([-1, -1], ">=", -1)], [1, 1]))
+# rows with different denominators: a scale per row would change the
+# phase-1 cost row, and (0, 1/3) would come back instead of (2/3, 0)
+@example((2, [([1, 2], "==", Fraction(2, 3)), ([Fraction(3, 2), 2], ">=", -1)], [0, 0]))
+def test_matches_rational_tableau(case):
+    """The integer tableau against the Fraction tableau it replaced: the
+    same status, value and x, after the same number of pivots, on
+    rational rows mixing >= and ==, zero rows and non-unique optima."""
+    n, rows, objective = case
+    got_pivots, want_pivots = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "pivot", _counting(simplex.pivot, got_pivots))
+        mp.setattr(reference, "_pivot", _counting(reference._pivot, want_pivots))
+        m = Model(n)
+        for row in rows:
+            m.constrain(*row)
+        got = m.maximize(objective)
+        want = reference.maximize(n, rows, objective)
+    assert (got.status, got.value, got.x) == want
+    assert len(got_pivots) == len(want_pivots)
