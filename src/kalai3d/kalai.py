@@ -23,10 +23,15 @@ every such i, and moving it a little toward reflected vertices of the
 wanted signs gives a point of relint(F) in the open cone.  So the first
 proper face in (dim, vertex_ids) order whose signs allow a cone is that
 cone's witness, and one exact LP per cone produces the rational witness
-point.  The rows hold only the face's vertex-basis dot products, signed
-by the cone, so many cones pose the same LP, and the simplex runs once
-per distinct system, not once per cone.  An LP that misses is a bug,
-not a verdict.
+point.  An LP that misses is a bug, not a verdict.
+
+The pass runs on tables built once per certify call.  Per basis vector
+two vertex bitmasks make a face's allowed signs two ANDs each.  The LP
+rows hold only the face's vertex-basis dot products, signed by the
+cone, from one integer table, so many cones pose the same integer rows
+and the simplex runs once per distinct system.  Its weights, kept as
+integers, and the integer vertices give each point coordinate as one
+Rational.
 
 Everything is exact: all recorded points are rational.
 """
@@ -35,11 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .lattice import Face, enumerate_faces
 from .polytope import Polytope
-from .ratgeom import QVector, format_rational
+from .ratgeom import QVector, Rational, _integer_table, format_rational
 from .symmetry import SymmetryReport, verify_basis
 from . import simplex
 
@@ -91,78 +98,99 @@ def enumerate_cones(d: int) -> list:
     ]
 
 
+class _Tables:
+    """The integer tables of one certify call.
+
+    verts[v] / den is vertex v; dots[v][i] and norms[i] are v.b_i and
+    b_i.b_i times scale > 0; masks[i] has the vertices with v.b_i > 0
+    and those with v.b_i < 0; lps maps each witness LP to () when it
+    misses, else to its integer weights and point denominator.
+    """
+
+    def __init__(self, p: Polytope, basis: Sequence[QVector]):
+        self.verts, self.den = _integer_table(p.vertices)
+        ints, bden = _integer_table(basis)
+        self.scale = self.den * bden * bden
+        self.dots = [[bden * sum(map(mul, x, b)) for b in ints] for x in self.verts]
+        self.norms = [self.den * sum(map(mul, b, b)) for b in ints]
+        self.masks = [
+            tuple(sum(1 << v for v, row in enumerate(self.dots) if s * row[i] > 0)
+                  for s in (1, -1))
+            for i in range(len(basis))
+        ]
+        self.lps: dict = {}
+
+
 def relint_meets_cone_interior(
-    face: Face,
-    subset: SignedSubset,
-    dots: Sequence,
-    norms: Sequence,
-    p: Polytope,
-    lps: dict,
+    face: Face, subset: SignedSubset, t: _Tables
 ) -> Optional[QVector]:
     """Exact decision: does relint(face) meet the open cone?
 
-    dots[v][i] is the dot product of vertex v with basis vector b_i and
-    norms[i] is b_i.b_i, as certify computes them.  Solved as one LP.
-    Writing the candidate point as a convex combination
-    x = sum(lambda_j w_j) of the face's vertices, we need every
-    lambda_j >= eps, sum(lambda_j) = 1, x strict against each selected
-    direction u = s b_i (x.u >= eps*(u.u)) and exactly zero against each
-    unselected one, with eps maximized exactly.  The intersection is
-    nonempty iff the optimum eps is positive; x at the optimum is then a
-    rational point in both relative interiors.  Internally lambda is
-    substituted as mu + eps with mu >= 0, which shrinks the system
-    without changing the feasible set or the optimum; the eps column of
-    a row is then its row sum, less u.u on a selected row.
+    Solved as one LP.  Writing the candidate point as a convex
+    combination x = sum(lambda_j w_j) of the face's vertices, we need
+    every lambda_j >= eps, sum(lambda_j) = 1, x strict against each
+    selected direction u = s b_i (x.u >= eps*(u.u)) and exactly zero
+    against each unselected one, with eps maximized exactly.  The
+    intersection is nonempty iff the optimum eps is positive; x at the
+    optimum is then a rational point in both relative interiors.
+    Internally lambda is substituted as mu + eps with mu >= 0, which
+    shrinks the system without changing the feasible set or the optimum;
+    the eps column of a row is then its row sum, less u.u on a selected
+    row.
 
-    lps maps the exact rows of each LP already solved to its result.  The
-    simplex runs only on rows not in it; the point is recombined from
-    this face's own vertices either way.  The simplex is deterministic,
-    so a reused result is the one a fresh solve would give.
+    Every row is the rational one times t.scale, so Bland's rule takes
+    the same pivots, and the simplex runs only on integer rows not yet in
+    t.lps.  The point is recombined from this face's vertices either way.
     """
     ids = face.vertex_ids
     k = len(ids)
-
-    rows = [((1,) * k + (k,), simplex.EQ, 1)]  # mu_1..mu_k, then eps
-    for i, s in subset.selected():
+    dots = t.dots
+    selected = subset.selected()
+    rows = []
+    for i, s in selected:
         row = tuple(s * dots[v][i] for v in ids)
-        rows.append((row + (sum(row) - norms[i],), simplex.GE, 0))
+        rows.append(row + (sum(row) - t.norms[i],))
     for i in subset.unselected():
         row = tuple(dots[v][i] for v in ids)
-        rows.append((row + (sum(row),), simplex.EQ, 0))
+        rows.append(row + (sum(row),))
 
-    key = tuple(rows)
-    result = lps.get(key)
-    if result is None:
-        m = simplex.Model(k + 1)
-        for row, sense, rhs in rows:
-            m.constrain(row, sense, rhs)
-        result = lps[key] = m.maximize([0] * k + [1])
-    if result.status == simplex.INFEASIBLE:
+    key = (len(selected), *rows)
+    found = t.lps.get(key)
+    if found is None:
+        m = simplex.Model(k + 1)  # mu_1..mu_k, then eps
+        m.constrain((t.scale,) * k + (k * t.scale,), simplex.EQ, t.scale)
+        for j, row in enumerate(rows):
+            m.constrain(row, simplex.GE if j < len(selected) else simplex.EQ, 0)
+        result = m.maximize([0] * k + [1])
+        found = ()
+        if result.status == simplex.OPTIMAL and result.x[-1] > 0:
+            weights = [w + result.x[-1] for w in result.x[:-1]]
+            lcd = lcm(*(w.denominator for w in weights))
+            weights = [w.numerator * (lcd // w.denominator) for w in weights]
+            found = weights, lcd * t.den
+        elif result.status not in (simplex.OPTIMAL, simplex.INFEASIBLE):
+            raise RuntimeError(f"witness LP {result.status}; eps is bounded by 1/k")
+        t.lps[key] = found
+    if not found:
         return None
-    if result.status != simplex.OPTIMAL:
-        raise RuntimeError(f"witness LP {result.status}; eps is bounded by 1/k")
-    eps_star = result.x[-1]
-    if eps_star <= 0:
-        return None
-    weights = [result.x[j] + eps_star for j in range(k)]
-    verts = [p.vertices[v] for v in ids]
-    return QVector(
-        sum(w * x[c] for w, x in zip(weights, verts)) for c in range(p.dim)
-    )
+    weights, den = found
+    return QVector._of(tuple(
+        Rational(sum(map(mul, weights, column)), den)
+        for column in zip(*(t.verts[v] for v in ids))
+    ))
 
 
-def _allowed_signs(face: Face, dots: Sequence) -> tuple:
+_SIGNS = {(0, 0): (0,), (1, 0): (1,), (0, 1): (-1,), (1, 1): (-1, 0, 1)}
+
+
+def _face_signs(face: Face, t: _Tables) -> tuple:
     """Per basis vector b_i, the signs x.b_i can take on relint(face):
     (0,) when every vertex has v.b_i = 0, the one strict sign when only
     that sign occurs, and (-1, 0, 1) when both occur."""
-    allowed = []
-    for column in zip(*(dots[v] for v in face.vertex_ids)):
-        lo, hi = min(column), max(column)
-        if lo < 0 < hi:
-            allowed.append((-1, 0, 1))
-        else:
-            allowed.append((1,) if hi > 0 else (-1,) if lo < 0 else (0,))
-    return tuple(allowed)
+    vmask = sum(1 << v for v in face.vertex_ids)
+    return tuple(
+        _SIGNS[bool(vmask & pos), bool(vmask & neg)] for pos, neg in t.masks
+    )
 
 
 def _inclusion_ok(allowed: tuple, subset: SignedSubset) -> bool:
@@ -241,7 +269,7 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
     no earlier face took.  Every cone is taken, because the ray along
     its sign vector leaves p through the relative interior of a proper
     face.  One LP per cone then yields the witness point, and the
-    simplex runs once per distinct LP: a dict local to this call holds
+    simplex runs once per distinct LP: the tables of this call hold
     each result, so nothing outlives the call.  A miss raises
     RuntimeError, since it can only be a bug.
 
@@ -252,53 +280,32 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
     report = verify_basis(p, basis)
     lat = enumerate_faces(p)
     bound = 3**p.dim
-
-    if not report.hypotheses_hold:
-        return Certificate(
-            dim=p.dim,
-            symmetry=report,
-            f_vector=lat.f_vector,
-            total=lat.total,
-            witnesses=(),
-            injective=False,
-            distinct_faces_count=0,
-            verdict=False,
-        )
-
-    dots = [[v.dot(b) for b in basis] for v in p.vertices]
-    norms = [b.dot(b) for b in basis]
-    taken: dict = {}
-    for face in lat.faces:
-        if face.dim < p.dim:
-            allowed = _allowed_signs(face, dots)
-            for signs in product(*allowed):
-                taken.setdefault(signs, (face, allowed))
-
-    lps: dict = {}  # witness LP rows -> its result, for this call only
     witnesses = []
-    for subset in enumerate_cones(p.dim):
-        face, allowed = taken[subset.signs]
-        point = relint_meets_cone_interior(face, subset, dots, norms, p, lps)
-        if point is None:
-            raise RuntimeError(
-                f"the witness LP of cone {subset.signs} misses face "
-                f"{face.vertex_ids}, whose vertex signs admit it"
-            )
-        witnesses.append(
-            ConeWitness(
-                subset=subset,
-                face=face,
-                point=point,
-                inclusion_ok=_inclusion_ok(allowed, subset),
-            )
-        )
+    if report.hypotheses_hold:
+        t = _Tables(p, basis)
+        taken: dict = {}
+        for face in lat.faces:
+            if face.dim < p.dim:
+                allowed = _face_signs(face, t)
+                for signs in product(*allowed):
+                    taken.setdefault(signs, (face, allowed))
+        for subset in enumerate_cones(p.dim):
+            face, allowed = taken[subset.signs]
+            point = relint_meets_cone_interior(face, subset, t)
+            if point is None:
+                raise RuntimeError(
+                    f"the witness LP of cone {subset.signs} misses face "
+                    f"{face.vertex_ids}, whose vertex signs admit it"
+                )
+            ok = _inclusion_ok(allowed, subset)
+            witnesses.append(ConeWitness(subset, face, point, ok))
     distinct = {w.face.vertex_ids for w in witnesses}
-    injective = len(distinct) == len(witnesses)
-    distinct_count = len(distinct) + 1  # the polytope itself is the 3^d-th face
-
+    injective = bool(witnesses) and len(distinct) == len(witnesses)
+    # the polytope itself is the 3^d-th face
+    distinct_count = len(distinct) + 1 if witnesses else 0
     verdict = (
-        all(w.inclusion_ok for w in witnesses)
-        and injective
+        injective
+        and all(w.inclusion_ok for w in witnesses)
         and distinct_count == bound
         and lat.total >= bound
     )

@@ -1,10 +1,12 @@
 """Face lattice enumeration and an independent definition-level oracle.
 
 The production path (enumerate_faces) is purely combinatorial: it reads
-only the vertex-facet incidence.  The faces are exactly the closed vertex
-sets under the incidence closure operator, every face is reachable by
-joining vertex atoms one at a time, and a face's dimension is its height
-in the lattice, counted cover by cover.  Only the oracle path
+only the vertex-facet incidence, as bitmasks.  The faces are exactly the
+closed vertex sets under the incidence closure operator, every face is
+reachable by joining vertex atoms one at a time, and a face's dimension
+is its height in the lattice, counted cover by cover.  Each face is
+known by the mask of the facets containing it, so a join is one AND of
+facet masks, and each distinct join is closed once.  Only the oracle path
 (brute_force_faces) uses geometry: it never looks at the incidence table
 but goes back to supporting hyperplanes, exact linear programs and the
 affine rank of each face's vertices, so the two can disagree only if one
@@ -71,69 +73,54 @@ class FaceLattice:
         return f"FaceLattice(dim={self.dim}, f_vector={self.f_vector})"
 
 
-def _closure_mask(p: Polytope, vmask: int) -> int:
-    """Vertex mask of the closure of a vertex set.
-
-    The closure is the intersection of all facets containing the set;
-    when no facet contains it the closure is the whole polytope.
-    """
-    fmask = -1
-    vfm = p.vertex_facet_masks
-    rest = vmask
-    while rest:
-        low = rest & -rest
-        fmask &= vfm[low.bit_length() - 1]
-        rest ^= low
-    if fmask == -1:
-        fmask = (1 << len(p.halfspaces)) - 1
-    if fmask == 0:
-        return (1 << len(p.vertices)) - 1
-    out = -1
+def _vertex_mask(p: Polytope, fmask: int) -> int:
+    """Vertex mask of the vertices on every facet in fmask; every vertex
+    when fmask is 0, since then the face is the whole polytope."""
+    out = (1 << len(p.vertices)) - 1
     fvm = p.facet_vertex_masks
-    rest = fmask
-    while rest:
-        low = rest & -rest
+    while fmask:
+        low = fmask & -fmask
         out &= fvm[low.bit_length() - 1]
-        rest ^= low
+        fmask ^= low
     return out
-
-
-def _face_from_vmask(p: Polytope, vmask: int) -> Face:
-    ids = _bits(vmask)
-    return Face(vertex_ids=ids, dim=affine_rank([p.vertices[i] for i in ids]))
 
 
 def enumerate_faces(p: Polytope) -> FaceLattice:
     """Every nonempty face of p, by climbing covers from the vertices.
 
-    Breadth-first: for each face F, close F joined with each vertex atom
-    outside it.  A join H covers F exactly when every vertex of H outside
-    F closes with F to H, that is, when H is reached popcount(H & ~F)
-    times; a face strictly between F and H would capture some of those
-    vertices.  Only covers are queued, one dimension above F.  Every face
-    lies on a chain of covers from a vertex, so every face is reached.
+    Breadth-first, after Kaibel & Pfetsch (2002), with each face keyed by
+    its facet mask.  The join of a face F with a vertex atom a has facet
+    mask F & vfm[a], which is F's own for an atom of F.  The atoms are
+    counted per distinct mask, and each mask is closed once.  A join H
+    covers F exactly when every vertex of H outside F closes with F to
+    H, that is, when H is reached |H| - |F| times; a face strictly
+    between F and H would capture some of those vertices.  Only covers
+    are queued, one dimension above F.  Every face lies on a chain of
+    covers from a vertex, so every face is reached.
     """
     n = len(p.vertices)
-    atoms = []
-    for i in range(n):
-        amask = _closure_mask(p, 1 << i)
-        if amask != 1 << i:
+    vfm = p.vertex_facet_masks
+    closed = {}  # facet mask -> vertex mask of every face met so far
+    for i, fmask in enumerate(vfm):
+        closed[fmask] = _vertex_mask(p, fmask)
+        if closed[fmask] != 1 << i:
             raise RuntimeError(f"vertex {i} is not its own closure")
-        atoms.append(amask)
 
-    dims = dict.fromkeys(atoms, 0)  # face vertex mask -> dimension
-    queue = deque(atoms)
+    dims = dict.fromkeys(vfm, 0)  # facet mask -> dimension, per face found
+    queue = deque(vfm)
     while queue:
-        cur = queue.popleft()
-        joins = Counter(
-            _closure_mask(p, cur | amask) for amask in atoms if not amask & cur
-        )
-        for joined, count in joins.items():
-            if count == (joined & ~cur).bit_count() and joined not in dims:
-                dims[joined] = dims[cur] + 1
-                queue.append(joined)
+        fmask = queue.popleft()
+        size = closed[fmask].bit_count()
+        for jmask, count in Counter(map(fmask.__and__, vfm)).items():
+            if jmask in dims:
+                continue
+            if jmask not in closed:
+                closed[jmask] = _vertex_mask(p, jmask)
+            if count == closed[jmask].bit_count() - size:
+                dims[jmask] = dims[fmask] + 1
+                queue.append(jmask)
 
-    faces = [Face(vertex_ids=_bits(vmask), dim=k) for vmask, k in dims.items()]
+    faces = [Face(vertex_ids=_bits(closed[f]), dim=k) for f, k in dims.items()]
     lat = FaceLattice(p.dim, faces)
     if lat.f_vector[p.dim] != 1 or lat.f_vector[0] != n:
         raise RuntimeError(
@@ -217,13 +204,11 @@ def brute_force_faces(p: Polytope) -> FaceLattice:
             if members not in candidates:
                 candidates[members] = comp
 
-    face_masks = []
-    for members in sorted(candidates, key=sorted):
-        if _supports_exactly(p, members, candidates[members]):
-            vmask = 0
-            for i in members:
-                vmask |= 1 << i
-            face_masks.append(vmask)
-    face_masks.append((1 << n) - 1)
-
-    return FaceLattice(p.dim, [_face_from_vmask(p, vm) for vm in face_masks])
+    faces = [tuple(range(n))] + [
+        tuple(sorted(members))
+        for members, comp in candidates.items()
+        if _supports_exactly(p, members, comp)
+    ]
+    return FaceLattice(
+        p.dim, [Face(ids, affine_rank([verts[i] for i in ids])) for ids in faces]
+    )

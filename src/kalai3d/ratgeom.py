@@ -72,6 +72,13 @@ class QVector:
             raise ValueError("vector needs at least one coordinate")
 
     @classmethod
+    def _of(cls, coords: tuple) -> "QVector":
+        """A vector over a nonempty tuple of Rationals, taken as it is."""
+        v = object.__new__(cls)
+        v.coords = coords
+        return v
+
+    @classmethod
     def zero(cls, dim: int) -> "QVector":
         return cls([0] * dim)
 
@@ -108,18 +115,18 @@ class QVector:
 
     def __add__(self, other: "QVector") -> "QVector":
         self._check_dim(other)
-        return QVector(a + b for a, b in zip(self.coords, other.coords))
+        return QVector._of(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "QVector") -> "QVector":
         self._check_dim(other)
-        return QVector(a - b for a, b in zip(self.coords, other.coords))
+        return QVector._of(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.coords)
+        return QVector._of(tuple(-a for a in self.coords))
 
     def __mul__(self, scalar) -> "QVector":
         s = Rational(scalar)
-        return QVector(s * a for a in self.coords)
+        return QVector._of(tuple(s * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -183,13 +190,11 @@ def echelon(rows: list) -> list:
     return pivots
 
 
-def _integer_rows(rows: Iterable) -> list:
-    """Each rational row times the lcm of its denominators."""
-    out = []
-    for row in rows:
-        scale = lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (scale // v.denominator) for v in row])
-    return out
+def _integer_table(rows: Sequence) -> tuple:
+    """(integer rows, D): the rational rows times the lcm D > 0 of all
+    their denominators, so that rows[r][c] is the integer over D."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 def affine_rank(points: Sequence[QVector]) -> int:
@@ -201,7 +206,7 @@ def affine_rank(points: Sequence[QVector]) -> int:
     if not points:
         raise ValueError("affine_rank of an empty point list")
     base = points[0]
-    diffs = _integer_rows((p - base).coords for p in points[1:])
+    diffs, _ = _integer_table([p - base for p in points[1:]])
     return len(echelon(diffs))
 
 
@@ -212,7 +217,7 @@ def kernel_basis(rows: Sequence[QVector]) -> list:
     Returns one vector per free column of the reduced echelon form;
     an empty list means the kernel is trivial.
     """
-    work = _integer_rows(r.coords for r in rows)
+    work, _ = _integer_table(rows)
     pivots = echelon(work)
     den = work[0][pivots[0]] if pivots else 1
     ncols = len(rows[0])
@@ -222,5 +227,5 @@ def kernel_basis(rows: Sequence[QVector]) -> list:
         vec[fc] = Rational(1)
         for r, pc in enumerate(pivots):
             vec[pc] = Rational(-work[r][fc], den)
-        basis.append(QVector(vec))
+        basis.append(QVector._of(tuple(vec)))
     return basis

@@ -8,22 +8,26 @@ separate test.  It is tested only when a reflection check fails, so
 that the report can still say whether the polytope is centrally
 symmetric.
 
-Reflections divide by v.v only, so everything stays rational and the
-checks are exact set comparisons, never tolerance tests.
+The checks run in integers, on the vertices and the basis each scaled
+by the lcm of its denominators.  A reflection divides by b.b only, so
+for integer rows x and b every image (b.b) x - 2 (x.b) b must lie in
+the set of the (b.b) x: that is the rational image x - 2 (x.b)/(b.b) b
+times b.b and the vertex denominator.  The test is an exact set
+comparison, never a tolerance test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .polytope import Polytope
-from .ratgeom import QVector
+from .ratgeom import QVector, _integer_table
 
 __all__ = [
     "SymmetryReport",
     "standard_basis",
-    "reflect",
     "is_centrally_symmetric",
     "verify_basis",
 ]
@@ -63,14 +67,6 @@ def standard_basis(dim: int) -> tuple:
     return tuple(QVector.unit(dim, i) for i in range(dim))
 
 
-def reflect(x: QVector, v: QVector) -> QVector:
-    """Reflect x across the hyperplane through the origin normal to v."""
-    if v.is_zero():
-        raise ValueError("cannot reflect across a zero normal")
-    scale = 2 * x.dot(v) / v.dot(v)
-    return x - scale * v
-
-
 def is_centrally_symmetric(p: Polytope) -> bool:
     """Whether the vertex set equals its pointwise negation."""
     vset = set(p.vertices)
@@ -101,22 +97,27 @@ def verify_basis(p: Polytope, basis: Sequence[QVector]) -> SymmetryReport:
             details=details,
         )
 
-    for i, v in enumerate(basis):
-        if v.is_zero():
+    ints, _ = _integer_table(basis)
+    for i, b in enumerate(ints):
+        if not any(b):
             return report(i, f"basis vector {i} is zero")
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if basis[i].dot(basis[j]) != 0:
+    for i in range(len(ints)):
+        for j in range(i + 1, len(ints)):
+            if sum(map(mul, ints[i], ints[j])):
                 return report(j, f"basis vectors {i} and {j} are not orthogonal")
 
-    vset = set(p.vertices)
-    for i, v in enumerate(basis):
-        if {reflect(x, v) for x in vset} != vset:
-            return report(
-                i,
-                f"reflection across the hyperplane normal to basis vector {i} "
-                "does not preserve the vertex set",
-            )
+    verts, _ = _integer_table(p.vertices)
+    for i, b in enumerate(ints):
+        bb = sum(map(mul, b, b))
+        scaled = {tuple(bb * c for c in x) for x in verts}
+        for x in verts:
+            t = 2 * sum(map(mul, x, b))
+            if tuple(bb * c - t * e for c, e in zip(x, b)) not in scaled:
+                return report(
+                    i,
+                    f"reflection across the hyperplane normal to basis vector {i} "
+                    "does not preserve the vertex set",
+                )
 
     return SymmetryReport(
         centrally_symmetric=True,

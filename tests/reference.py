@@ -1,11 +1,15 @@
-"""Rational reference implementations for the integer kernel's tests.
+"""Reference implementations for the tests of the integer and bitmask paths.
 
 Gauss-Jordan elimination and a two-phase Bland simplex, both on
-``Fraction`` entries and sharing no code with ``kalai3d``: the integer
-``ratgeom.echelon``, the double description built on it and
-``simplex.Model`` are checked against these.
+``Fraction`` entries, the rational reflection, and the face lattice
+closed once per join, all sharing no code with ``kalai3d``: the integer
+``ratgeom.echelon``, the double description built on it,
+``simplex.Model``, the integer reflection check of
+``symmetry.verify_basis`` and ``lattice.enumerate_faces`` are checked
+against these.
 """
 
+from collections import Counter, deque
 from fractions import Fraction
 from math import lcm
 
@@ -193,3 +197,59 @@ def _pivot(tableau, costs, basis, r, c) -> None:
         if f:
             costs[k][:] = [a - f * b for a, b in zip(row, pivot_row)]
     basis[r] = c
+
+
+def reflect(x, v):
+    """Reflect x across the hyperplane through the origin normal to v,
+    in Fractions; the result has x's type."""
+    if not any(v):
+        raise ValueError("cannot reflect across a zero normal")
+    vv = sum(Fraction(c) * c for c in v)
+    scale = 2 * sum(Fraction(a) * b for a, b in zip(x, v)) / vv
+    return type(x)(a - scale * b for a, b in zip(x, v))
+
+
+def closure_mask(p, vmask: int) -> int:
+    """Vertex mask of the closure of a vertex set: the intersection of
+    all facets containing it, or the whole polytope when none does."""
+    fmask = -1
+    rest = vmask
+    while rest:
+        low = rest & -rest
+        fmask &= p.vertex_facet_masks[low.bit_length() - 1]
+        rest ^= low
+    if fmask == -1:
+        fmask = (1 << len(p.halfspaces)) - 1
+    if fmask == 0:
+        return (1 << len(p.vertices)) - 1
+    out = -1
+    rest = fmask
+    while rest:
+        low = rest & -rest
+        out &= p.facet_vertex_masks[low.bit_length() - 1]
+        rest ^= low
+    return out
+
+
+def face_lattice(p) -> list:
+    """Every face as (vertex ids, dimension), sorted by (dimension, ids):
+    breadth-first over covers, closing F joined with each vertex atom
+    outside it one join at a time."""
+    n = len(p.vertices)
+    atoms = [closure_mask(p, 1 << i) for i in range(n)]
+    dims = dict.fromkeys(atoms, 0)
+    queue = deque(atoms)
+    while queue:
+        cur = queue.popleft()
+        joins = Counter(
+            closure_mask(p, cur | amask) for amask in atoms if not amask & cur
+        )
+        for joined, count in joins.items():
+            if count == bin(joined & ~cur).count("1") and joined not in dims:
+                dims[joined] = dims[cur] + 1
+                queue.append(joined)
+    faces = [
+        (tuple(i for i in range(n) if vmask >> i & 1), k)
+        for vmask, k in dims.items()
+    ]
+    return sorted(faces, key=lambda f: (f[1], f[0]))

@@ -20,8 +20,9 @@ from kalai3d.kalai import certify, enumerate_cones
 from kalai3d.lattice import brute_force_faces, enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, facets_from_vrep, generate, vertices_from_hrep
 from kalai3d.ratgeom import QVector, rational
-from kalai3d.symmetry import reflect, standard_basis
+from kalai3d.symmetry import standard_basis
 
+from reference import reflect
 from test_symmetry import HEXAGON_POINTS
 
 

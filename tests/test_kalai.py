@@ -11,8 +11,9 @@ from kalai3d import cli, kalai
 from kalai3d.fileio import format_polytope_text
 from kalai3d.kalai import (
     SignedSubset,
-    _allowed_signs,
+    _face_signs,
     _inclusion_ok,
+    _Tables,
     certify,
     enumerate_cones,
     relint_meets_cone_interior,
@@ -22,7 +23,8 @@ from kalai3d.polytope import VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector
 from kalai3d.symmetry import standard_basis, verify_basis
 
-from test_symmetry import HEXAGON_POINTS, SHEAR_POINTS
+import reference
+from test_symmetry import HEXAGON_POINTS, ROTATIONS, SHEAR_POINTS
 
 
 def qv(*coords):
@@ -38,15 +40,12 @@ def dot_table(basis, p):
 
 
 def relint(face, subset, basis, p):
-    """The witness LP with its dot table computed here from the basis."""
-    norms = [b.dot(b) for b in basis]
-    return relint_meets_cone_interior(
-        face, subset, dot_table(basis, p), norms, p, {}
-    )
+    """The witness LP on tables built here from the basis."""
+    return relint_meets_cone_interior(face, subset, _Tables(p, basis))
 
 
 def inclusion_holds(face, subset, basis, p):
-    return _inclusion_ok(_allowed_signs(face, dot_table(basis, p)), subset)
+    return _inclusion_ok(_face_signs(face, _Tables(p, basis)), subset)
 
 
 def witness(cert, signs):
@@ -168,16 +167,14 @@ class TestInteriorInclusion:
 
 def sign_table_mismatches(p, basis):
     """(face, cone) pairs where the sign table and the witness LP disagree."""
-    dots = dot_table(basis, p)
-    norms = [b.dot(b) for b in basis]
-    lps = {}
+    tables = _Tables(p, basis)
     out = []
     for f in enumerate_faces(p).faces:
         if f.dim == p.dim:
             continue
-        allowed = set(product(*_allowed_signs(f, dots)))
+        allowed = set(product(*_face_signs(f, tables)))
         for k in enumerate_cones(p.dim):
-            x = relint_meets_cone_interior(f, k, dots, norms, p, lps)
+            x = relint_meets_cone_interior(f, k, tables)
             if (k.signs in allowed) != (x is not None):
                 out.append((f.vertex_ids, k.signs))
     return out
@@ -400,6 +397,68 @@ class TestCertify:
         assert doc["total"] == 7
 
 
+def rotated_cube3():
+    """The 3-cube turned by the 3-4-5 rotation, with the rotated axes as
+    its basis: denominators in every vertex and basis vector."""
+    rot = ROTATIONS[3]
+    points = tuple(
+        QVector(sum(s * r[c] for s, r in zip(signs, rot)) for c in range(3))
+        for signs in product((1, -1), repeat=3)
+    )
+    return build_polytope(VRep(3, points)), tuple(QVector(r) for r in rot)
+
+
+def rational_witness(face, subset, basis, p):
+    """sum(w_j v_j) in Fractions over the face's vertices, with the
+    weights w_j = mu_j + eps from the reference simplex on the rational
+    rows of the witness LP."""
+    ids = face.vertex_ids
+    k = len(ids)
+    dots = dot_table(basis, p)
+    rows = [((1,) * k + (k,), "==", 1)]
+    for i, s in subset.selected():
+        row = [s * dots[v][i] for v in ids]
+        rows.append((row + [sum(row) - basis[i].dot(basis[i])], ">=", 0))
+    for i in subset.unselected():
+        row = [dots[v][i] for v in ids]
+        rows.append((row + [sum(row)], "==", 0))
+    status, _, x = reference.maximize(k + 1, rows, [0] * k + [1])
+    assert status == reference.OPTIMAL and x[-1] > 0
+    weights = [mu + x[-1] for mu in x[:-1]]
+    return QVector(
+        sum(w * p.vertices[v][c] for w, v in zip(weights, ids))
+        for c in range(p.dim)
+    )
+
+
+class TestIntegerWitness:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (generate("cube", dim=3), standard_basis(3)),
+            lambda: (generate("cross_polytope", dim=3), standard_basis(3)),
+            lambda: (build_polytope(VRep(2, HEXAGON_POINTS)), (qv(1, -1), qv(1, 1))),
+            rotated_cube3,
+        ],
+        ids=["cube3", "cross3", "hexagon_diagonal", "rotated_cube3"],
+    )
+    def test_point_is_rational_recombination(self, make):
+        """The point built from integer weights and the integer vertex
+        table is the Fraction combination of the face's vertices."""
+        p, basis = make()
+        cert = certify(p, basis)
+        assert cert.verdict
+        for w in cert.witnesses:
+            assert w.point == rational_witness(w.face, w.subset, basis, p)
+
+    @pytest.mark.parametrize("family", ["cube", "cross_polytope"])
+    def test_dimension_eight(self, family):
+        """3^8 faces, each of the 6,560 cones on its own, in about a second."""
+        cert = certify(generate(family, dim=8), standard_basis(8))
+        assert cert.verdict
+        assert cert.total == cert.distinct_faces_count == 6561
+
+
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text(
         encoding="utf-8"
@@ -429,6 +488,26 @@ MEMO_CASES = {
 }
 
 
+def count_solves(monkeypatch, p, basis):
+    """certify(p, basis), with the simplex solves it ran and the number of
+    distinct rational witness LPs among its cones."""
+    dots = dot_table(basis, p)
+    norms = [b.dot(b) for b in basis]
+    solved = []
+    maximize = kalai.simplex.Model.maximize
+
+    def counting(model, objective):
+        solved.append(objective)
+        return maximize(model, objective)
+
+    # the module object kalai holds, not a dotted path, which a second
+    # import of kalai3d in the same process could point elsewhere
+    monkeypatch.setattr(kalai.simplex.Model, "maximize", counting)
+    cert = certify(p, basis)
+    keys = {lp_key(w.face, w.subset, dots, norms) for w in cert.witnesses}
+    return cert, len(solved), len(keys)
+
+
 class TestLPMemo:
     """certify runs the simplex once per distinct witness LP, per call."""
 
@@ -436,24 +515,15 @@ class TestLPMemo:
     def test_one_simplex_per_distinct_lp(self, monkeypatch, key):
         p = MEMO_CASES[key]()
         basis = standard_basis(p.dim)
-        dots = dot_table(basis, p)
-        norms = [b.dot(b) for b in basis]
-        solved = []
-        maximize = kalai.simplex.Model.maximize
+        first, solves, keys = count_solves(monkeypatch, p, basis)
+        assert solves == keys < len(first.witnesses)
 
-        def counting(model, objective):
-            solved.append(objective)
-            return maximize(model, objective)
-
-        # the module object kalai holds, not a dotted path, which a second
-        # import of kalai3d in the same process could point elsewhere
-        monkeypatch.setattr(kalai.simplex.Model, "maximize", counting)
-        first = certify(p, basis)
-        keys = {lp_key(w.face, w.subset, dots, norms) for w in first.witnesses}
-        assert len(solved) == len(keys) < len(first.witnesses)
-
-        solved.clear()
-        second = certify(p, basis)
-        assert len(solved) == len(keys)
+        second, solves, _ = count_solves(monkeypatch, p, basis)
+        assert solves == keys
         text = cli._json_text(second.to_json_dict())
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[key]
+
+    def test_one_simplex_per_distinct_lp_with_denominators(self, monkeypatch):
+        """Scaling the rows to integers neither merges nor splits LPs."""
+        cert, solves, keys = count_solves(monkeypatch, *rotated_cube3())
+        assert solves == keys < len(cert.witnesses)

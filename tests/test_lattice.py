@@ -6,11 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kalai3d import lattice
-from kalai3d.lattice import _bits, _closure_mask, brute_force_faces, enumerate_faces
+from kalai3d.lattice import _bits, brute_force_faces, enumerate_faces
 from kalai3d.polytope import VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector, affine_rank, rational
+
+import reference
 
 
 def qv(*coords):
@@ -22,7 +26,7 @@ def closure(p, vertex_ids):
     vmask = 0
     for i in vertex_ids:
         vmask |= 1 << i
-    return frozenset(_bits(_closure_mask(p, vmask)))
+    return frozenset(_bits(reference.closure_mask(p, vmask)))
 
 
 def lattice_fingerprint(lat):
@@ -130,6 +134,34 @@ class TestEnumerateFaces:
         lat = enumerate_faces(p)
         facet_faces = [f for f in lat.faces if f.dim == p.dim - 1]
         assert sorted(f.vertex_ids for f in facet_faces) == sorted(p.incidence)
+
+
+def small_polytopes():
+    """Cubes, cross-polytopes, their products and random reflection
+    symmetric polytopes, of dimension at most 5."""
+    family = st.sampled_from(("cube", "cross_polytope"))
+    plain = st.builds(lambda f, d: generate(f, dim=d), family, st.integers(1, 5))
+    product = st.builds(
+        lambda f, g, a, b: generate(
+            "product", factors=(generate(f, dim=a), generate(g, dim=b))
+        ),
+        family, family, st.integers(1, 3), st.integers(1, 2),
+    )
+    random = st.builds(
+        lambda d, m, seed: generate(
+            "random_reflection_symmetric", dim=d, m=m, seed=seed
+        ),
+        st.integers(2, 5), st.integers(1, 2), st.integers(0, 10**6),
+    )
+    return st.one_of(plain, product, random)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polytopes())
+def test_matches_closure_per_join(p):
+    """The incremental closure finds the faces and dimensions that closing
+    every join of a face with a vertex atom one at a time finds."""
+    assert lattice_fingerprint(enumerate_faces(p)) == reference.face_lattice(p)
 
 
 class TestFaceDimensions:

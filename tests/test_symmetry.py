@@ -1,18 +1,18 @@
 """Central symmetry and reflection checks, exact throughout."""
 
+from fractions import Fraction
+from itertools import product
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kalai3d.lattice import enumerate_faces
-from kalai3d.polytope import VRep, build_polytope, generate
+from kalai3d.polytope import GeometryError, VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector, rational
-from kalai3d.symmetry import (
-    is_centrally_symmetric,
-    reflect,
-    standard_basis,
-    verify_basis,
-)
+from kalai3d.symmetry import is_centrally_symmetric, standard_basis, verify_basis
+
+from reference import reflect
 
 
 def qv(*coords):
@@ -88,6 +88,76 @@ class TestReflect:
         w = qv(1, -1)  # orthogonal to v
         assert reflect(x, v).dot(w) == x.dot(w)  # orthogonal part kept
         assert reflect(x, v).dot(v) == -x.dot(v)  # normal part negated
+
+
+# Orthogonal bases with denominators: the 3-4-5 rotation and its
+# extension by a third axis, with rows scaled below.
+ROTATIONS = {
+    2: ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5))),
+    3: (
+        (Fraction(3, 5), Fraction(4, 5), 0),
+        (Fraction(-4, 5), Fraction(3, 5), 0),
+        (0, 0, 1),
+    ),
+}
+
+small = st.integers(-4, 4).map(Fraction) | st.fractions(
+    min_value=-4, max_value=4, max_denominator=6
+)
+
+
+@st.composite
+def point_sets(draw):
+    """(dim, points, basis): the orbit of one or two points under the
+    reflections of a rotated basis, or points drawn freely, possibly with
+    one point then moved by 1/q in one coordinate; the basis rows are
+    the rotation's rows times nonzero rationals."""
+    dim = draw(st.sampled_from(sorted(ROTATIONS)))
+    rot = ROTATIONS[dim]
+    if draw(st.booleans()):
+        seeds = draw(st.lists(st.tuples(*[small] * dim), min_size=1, max_size=2))
+        points = [
+            tuple(sum(s * y[i] * rot[i][c] for i, s in enumerate(signs))
+                  for c in range(dim))
+            for y in seeds
+            for signs in product((1, -1), repeat=dim)
+        ]
+    else:
+        points = draw(st.lists(st.tuples(*[small] * dim), min_size=dim + 1,
+                               max_size=2 * dim + 2))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(points) - 1))
+        c = draw(st.integers(0, dim - 1))
+        q = draw(st.integers(1, 7))
+        points[j] = tuple(x + Fraction(1, q) if i == c else x
+                          for i, x in enumerate(points[j]))
+    scales = draw(st.lists(small.filter(bool), min_size=dim, max_size=dim))
+    basis = tuple(QVector(k * c for c in row) for k, row in zip(scales, rot))
+    return dim, points, basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+@example((2, [(5, 0), (-5, 0), (0, 5), (0, -5)], (
+    QVector((Fraction(3, 5), Fraction(4, 5))),
+    QVector((Fraction(-8, 5), Fraction(6, 5))),
+)))
+def test_integer_reflections_match_rational_sets(case):
+    """verify_basis's integer check fails on the first basis vector whose
+    rational reflection does not map the vertex set onto itself."""
+    dim, points, basis = case
+    try:
+        p = build_polytope(VRep(dim, tuple(QVector(x) for x in points)))
+    except GeometryError:
+        return
+    vset = set(p.vertices)
+    failing = next(
+        (i for i, v in enumerate(basis) if {reflect(x, v) for x in vset} != vset),
+        None,
+    )
+    report = verify_basis(p, basis)
+    assert report.basis_verified == (failing is None)
+    assert report.failing_vector == failing
 
 
 class TestCentralSymmetry:
