@@ -18,10 +18,10 @@ Parse errors point at the offending line and column.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Optional
 
@@ -50,7 +50,52 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """doc as JSON, byte for byte json.dumps(doc, indent=2,
+    sort_keys=True) plus a newline, for the types the commands emit,
+    matched exactly: dict with str keys, list, tuple, str, int, bool
+    and None.
+
+    Anything else is a bug, not bad input, so it raises RuntimeError
+    (exit 3), never TypeError or ValueError (exit 2).  Callers write
+    the text only once it is complete.
+    """
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(value, indent: str) -> str:
+    """One value, its lines after the first starting with indent; a
+    bool is never written as an int."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    sep = "," + inner
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = sep.join(map(_quote, value))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json_value(v, inner) for v in value])
+        return "[" + inner + body + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:
+            raise RuntimeError("cannot write a JSON object key that is not a str")
+        return "{" + inner + sep.join([
+            _quote(k) + ": " + _json_value(v, inner) for k, v in sorted(value.items())
+        ]) + indent + "}"
+    raise RuntimeError(f"cannot write {kind.__name__} as JSON")
 
 
 def _polytope_text(p: Polytope, rep_kind: str, as_json: bool) -> str:

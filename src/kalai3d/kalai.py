@@ -40,13 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
 from .lattice import Face, enumerate_faces
 from .polytope import Polytope
-from .ratgeom import QVector, Rational, _integer_table, format_rational
+from .ratgeom import QVector, Rational, _integer_table
 from .symmetry import SymmetryReport, verify_basis
 from . import simplex
 
@@ -102,17 +102,22 @@ class _Tables:
     """The integer tables of one certify call.
 
     verts[v] / den is vertex v; dots[v][i] and norms[i] are v.b_i and
-    b_i.b_i times scale > 0; masks[i] has the vertices with v.b_i > 0
-    and those with v.b_i < 0; lps maps each witness LP to () when it
-    misses, else to its integer weights and point denominator.
+    b_i.b_i times scale > 0, the smallest scale that makes them all
+    integers; masks[i] has the vertices with v.b_i > 0 and those with
+    v.b_i < 0; lps maps each witness LP to () when it misses, else to
+    its integer weights and point denominator.
     """
 
     def __init__(self, p: Polytope, basis: Sequence[QVector]):
         self.verts, self.den = _integer_table(p.vertices)
         ints, bden = _integer_table(basis)
-        self.scale = self.den * bden * bden
-        self.dots = [[bden * sum(map(mul, x, b)) for b in ints] for x in self.verts]
-        self.norms = [self.den * sum(map(mul, b, b)) for b in ints]
+        scale = self.den * bden * bden
+        dots = [[bden * sum(map(mul, x, b)) for b in ints] for x in self.verts]
+        norms = [self.den * sum(map(mul, b, b)) for b in ints]
+        g = gcd(scale, *norms, *(c for row in dots for c in row))
+        self.scale = scale // g
+        self.dots = [[c // g for c in row] for row in dots]
+        self.norms = [c // g for c in norms]
         self.masks = [
             tuple(sum(1 << v for v, row in enumerate(self.dots) if s * row[i] > 0)
                   for s in (1, -1))
@@ -244,7 +249,7 @@ class Certificate:
                     "signs": list(w.subset.signs),
                     "face_vertices": list(w.face.vertex_ids),
                     "face_dim": w.face.dim,
-                    "witness_point": [format_rational(c) for c in w.point],
+                    "witness_point": [str(c) for c in w.point],
                     "inclusion_ok": w.inclusion_ok,
                 }
                 for w in self.witnesses

@@ -311,7 +311,7 @@ def vertices_from_hrep(hrep: HRep) -> Polytope:
         for h in hs
     ]
     accepted = sorted(
-        (QVector(rational(n, den) for n in nums), on)
+        (QVector._of(tuple(Rational(n, den) for n in nums)), on)
         for (nums, den), on in _double_description(d, rows)
     )
     verts = [v for v, _ in accepted]

@@ -53,7 +53,7 @@ def parse_rational(token: str):
 
 def format_rational(value) -> str:
     """Serialize to "p/q" (or "p" when the denominator is 1)."""
-    return str(Rational(value))
+    return str(value if isinstance(value, Rational) else Rational(value))
 
 
 class QVector:

@@ -8,9 +8,11 @@ and one dense objective to maximize.
 
 Pivoting follows Bland's rule (smallest eligible column enters, ties on
 the leaving row broken by smallest basic variable), which terminates on
-every input without any perturbation.  The tableau holds integers over
-one positive denominator and every pivot is ratgeom.pivot, so it is
-exact and OPTIMAL / INFEASIBLE / UNBOUNDED are decided, not estimated.
+every input without any perturbation.  Int entries (rows, right-hand
+sides, objective) are taken as they are and anything else becomes a
+Rational.  The tableau holds integers over one positive denominator and
+every pivot is ratgeom.pivot, so it is exact and OPTIMAL / INFEASIBLE /
+UNBOUNDED are decided, not estimated.
 """
 
 from __future__ import annotations
@@ -54,14 +56,18 @@ class Model:
         self._rows: list[tuple[list, str, object]] = []
 
     def constrain(self, row: Sequence, sense: str, rhs) -> None:
-        """Add row . x <sense> rhs with sense in {>=, ==}."""
+        """Add row . x <sense> rhs with sense in {>=, ==}.
+
+        Int entries are kept as they are; an int has a numerator and a
+        denominator, so it scales like the Rational it equals.
+        """
         if sense not in (GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
         if len(row) != self._nvars:
             raise ValueError(
                 f"row of length {len(row)} for {self._nvars} variables"
             )
-        self._rows.append(([Rational(c) for c in row], sense, Rational(rhs)))
+        self._rows.append(([_exact(c) for c in row], sense, _exact(rhs)))
 
     def maximize(self, objective: Sequence) -> LPResult:
         """Solve max objective . x subject to the recorded constraints.
@@ -78,7 +84,7 @@ class Model:
             raise ValueError(
                 f"objective of length {len(objective)} for {n} variables"
             )
-        objective = [Rational(c) for c in objective]
+        objective = [_exact(c) for c in objective]
         scale = lcm(
             *(v.denominator for coeffs, _, b in self._rows for v in (*coeffs, b)),
             *(c.denominator for c in objective),
@@ -121,6 +127,11 @@ class Model:
             value=Rational(tableau[-1][-1], den * scale),
             x=tuple(Rational(v, den) for v in x[:n]),
         )
+
+
+def _exact(v):
+    """v itself when it is an int, else v as a Rational."""
+    return v if type(v) is int else Rational(v)
 
 
 def _solve(tableau: list, ncols: int):

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kalai3d import cli
 from kalai3d.cli import main
@@ -287,6 +289,86 @@ def test_internal_error_exit_code(run, cube2_path, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("internal error:\n")
     assert "RuntimeError: boom" in err
+
+
+# --- JSON writer -----------------------------------------------------------
+
+def reference_json(doc):
+    """What every JSON output must equal byte for byte."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_docs)
+# mixed scalar lists: a formatter picked from the first element's type
+# would print True for these
+@example([1, True])
+@example([True, 1])
+@example(["a", 1, None])
+@example({"": [], "b": {}, "a": [[], {}], "c": ()})
+@example([-(2**64) - 1, 2**64 + 1, 0])
+@example({"\u00e9\"\\\x00\x1f\u2028\ud800": "\t\u00ff\U0001f600"})
+def test_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc) == reference_json(doc)
+
+
+def test_every_json_output_matches_json_dumps(run, tmp_path, cross3_path, cube2_path,
+                                              simplex2_path, hexagon_path,
+                                              diagonal_basis_path):
+    cube3_path = tmp_path / "cube3.hpoly"
+    cube3_path.write_text(format_polytope_text(generate("cube", dim=3).hrep()))
+    commands = [
+        ("fvector", cross3_path, "--json"),
+        ("convert", cross3_path, "--json"),
+        ("convert", cube2_path, "--json"),
+        ("symmetry", simplex2_path, "--json"),
+        ("symmetry", hexagon_path, "--json"),
+        ("symmetry", hexagon_path, "--basis", diagonal_basis_path, "--json"),
+        ("generate", "--family", "cross_polytope", "--dim", "3", "--rep", "v", "--json"),
+        ("certify", str(cube3_path)),
+        ("certify", simplex2_path),
+    ]
+    for argv in commands:
+        code, out, _ = run(*argv)
+        assert code in (0, 1), argv
+        assert out == reference_json(json.loads(out)), argv
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{1: "a"}, {None: 1}, 1.5, {"a"}, object(), [1, 2.0]],
+    ids=["int_key", "none_key", "float", "set", "object", "float_in_list"],
+)
+def test_writer_failure_is_internal_error(run, cube2_path, tmp_path, monkeypatch, bad):
+    """A document the writer cannot write is a bug: exit 3, and nothing
+    reaches stdout or the --out file."""
+    class Unwritable:
+        verdict = True
+
+        def to_json_dict(self):
+            return {"cones": [bad], "verdict": True}
+
+    monkeypatch.setattr(cli, "certify", lambda p, basis: Unwritable())
+    code, out, err = run("certify", cube2_path)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:\n") and "RuntimeError" in err
+
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run("certify", cube2_path, "--out", str(cert_path))
+    assert code == 3 and out == ""
+    assert not cert_path.exists()
 
 
 # --- selftest and module entry ---------------------------------------------

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
-from itertools import product
+from fractions import Fraction
+from itertools import chain, product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -450,6 +452,15 @@ class TestIntegerWitness:
         assert cert.verdict
         for w in cert.witnesses:
             assert w.point == rational_witness(w.face, w.subset, basis, p)
+
+    def test_tables_take_the_smallest_integer_scale(self):
+        """The dot table, the norms and scale share no factor, and over
+        scale they are still the rational dot products."""
+        p, basis = rotated_cube3()
+        t = _Tables(p, basis)
+        assert gcd(t.scale, *t.norms, *chain.from_iterable(t.dots)) == 1
+        assert [[Fraction(c, t.scale) for c in row] for row in t.dots] == dot_table(basis, p)
+        assert [Fraction(n, t.scale) for n in t.norms] == [b.dot(b) for b in basis]
 
     @pytest.mark.parametrize("family", ["cube", "cross_polytope"])
     def test_dimension_eight(self, family):

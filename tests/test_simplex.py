@@ -181,7 +181,7 @@ def _counting(fn, calls):
 
 
 entry = st.one_of(
-    st.just(0),
+    st.integers(min_value=-6, max_value=6),
     st.builds(
         Fraction,
         st.integers(min_value=-6, max_value=6),
@@ -215,13 +215,16 @@ entry = st.one_of(
 )
 # the optimum is the whole edge x + y = 1: not unique
 @example((2, [([-1, -1], ">=", -1)], [1, 1]))
+# int rows, taken as they are: the shape of a witness LP
+@example((3, [([5, 5, 10], "==", 5), ([2, -1, 1], ">=", 0), ([1, -1, 0], "==", 0)],
+          [0, 0, 1]))
 # rows with different denominators: a scale per row would change the
 # phase-1 cost row, and (0, 1/3) would come back instead of (2/3, 0)
 @example((2, [([1, 2], "==", Fraction(2, 3)), ([Fraction(3, 2), 2], ">=", -1)], [0, 0]))
 def test_matches_rational_tableau(case):
     """The integer tableau against the Fraction tableau it replaced: the
-    same status, value and x, after the same number of pivots, on
-    rational rows mixing >= and ==, zero rows and non-unique optima."""
+    same status, value and x, after the same number of pivots, on int
+    and rational rows mixing >= and ==, zero rows and non-unique optima."""
     n, rows, objective = case
     got_pivots, want_pivots = [], []
     with pytest.MonkeyPatch.context() as mp:
