@@ -303,10 +303,10 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         # ValueError includes ParseError and GeometryError (unbounded,
-        # empty, degenerate); TypeError comes from bad family/basis
-        # combinations
+        # empty, degenerate); a TypeError only guards library misuse,
+        # so it is a bug and exits 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -162,9 +162,9 @@ def parse_polytope_text(text: str, path: str = "<input>") -> Union[HRep, VRep]:
                     "halfspace normal is the zero vector",
                     path=path, line=ln, col=tokens[0][0],
                 )
-            halfspaces.append(Halfspace(QVector(normal), offset))
+            halfspaces.append(Halfspace(QVector._of(tuple(normal)), offset))
         return HRep(dim, tuple(halfspaces))
-    return VRep(dim, tuple(QVector(row) for row in rows))
+    return VRep(dim, tuple(QVector._of(tuple(row)) for row in rows))
 
 
 def parse_basis_text(text: str, path: str = "<input>") -> tuple:
@@ -181,7 +181,7 @@ def parse_basis_text(text: str, path: str = "<input>") -> tuple:
         )
     dim = _parse_header_int(header[1], path, lineno, "dimension", 1)
     return tuple(
-        QVector(_parse_row(tokens, dim, path, ln, "basis"))
+        QVector._of(tuple(_parse_row(tokens, dim, path, ln, "basis")))
         for ln, tokens in _body(lines, dim, path, "basis")
     )
 

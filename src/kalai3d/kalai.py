@@ -51,7 +51,6 @@ from .symmetry import SymmetryReport, verify_basis
 from . import simplex
 
 __all__ = [
-    "SignedSubset",
     "ConeWitness",
     "Certificate",
     "enumerate_cones",
@@ -60,42 +59,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignedSubset:
-    """A choice of sign (+1, -1, or absent) for each basis vector."""
-
-    signs: tuple
-
-    def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
-        if not signs:
-            raise ValueError("empty sign vector")
-        if any(s not in (-1, 0, 1) for s in signs):
-            raise ValueError(f"signs must be -1, 0, or +1: {signs}")
-        if not any(signs):
-            raise ValueError("all-zero sign vector selects no cone")
-        object.__setattr__(self, "signs", signs)
-
-    def selected(self) -> tuple:
-        """(index, sign) pairs for the nonzero entries."""
-        return tuple((i, s) for i, s in enumerate(self.signs) if s)
-
-    def unselected(self) -> tuple:
-        return tuple(i for i, s in enumerate(self.signs) if not s)
-
-    def __len__(self) -> int:
-        return len(self.signs)
-
-
 def enumerate_cones(d: int) -> list:
     """All 3^d - 1 sign vectors, lexicographic with -1 < 0 < +1."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    return [
-        SignedSubset(signs)
-        for signs in product((-1, 0, 1), repeat=d)
-        if any(signs)
-    ]
+    return [s for s in product((-1, 0, 1), repeat=d) if any(s)]
 
 
 class _Tables:
@@ -127,7 +95,7 @@ class _Tables:
 
 
 def relint_meets_cone_interior(
-    face: Face, subset: SignedSubset, t: _Tables
+    face: Face, signs: tuple, t: _Tables
 ) -> Optional[QVector]:
     """Exact decision: does relint(face) meet the open cone?
 
@@ -150,22 +118,24 @@ def relint_meets_cone_interior(
     ids = face.vertex_ids
     k = len(ids)
     dots = t.dots
-    selected = subset.selected()
-    rows = []
-    for i, s in selected:
-        row = tuple(s * dots[v][i] for v in ids)
-        rows.append(row + (sum(row) - t.norms[i],))
-    for i in subset.unselected():
-        row = tuple(dots[v][i] for v in ids)
-        rows.append(row + (sum(row),))
+    rows, zero_rows = [], []
+    for i, s in enumerate(signs):
+        if s:
+            row = tuple(s * dots[v][i] for v in ids)
+            rows.append(row + (sum(row) - t.norms[i],))
+        else:
+            row = tuple(dots[v][i] for v in ids)
+            zero_rows.append(row + (sum(row),))
+    selected = len(rows)
+    rows += zero_rows
 
-    key = (len(selected), *rows)
+    key = (selected, *rows)
     found = t.lps.get(key)
     if found is None:
         m = simplex.Model(k + 1)  # mu_1..mu_k, then eps
         m.constrain((t.scale,) * k + (k * t.scale,), simplex.EQ, t.scale)
         for j, row in enumerate(rows):
-            m.constrain(row, simplex.GE if j < len(selected) else simplex.EQ, 0)
+            m.constrain(row, simplex.GE if j < selected else simplex.EQ, 0)
         result = m.maximize([0] * k + [1])
         found = ()
         if result.status == simplex.OPTIMAL and result.x[-1] > 0:
@@ -198,23 +168,24 @@ def _face_signs(face: Face, t: _Tables) -> tuple:
     )
 
 
-def _inclusion_ok(allowed: tuple, subset: SignedSubset) -> bool:
+def _inclusion_ok(allowed: tuple, signs: tuple) -> bool:
     """Vertex-sign form of the strict inclusion of relint(face) in the
     open halfspace system of the cone: on every selected direction the
     face's allowed signs are exactly the cone's sign."""
-    return all(allowed[i] == (s,) for i, s in subset.selected())
+    return all(a == (s,) for a, s in zip(allowed, signs) if s)
 
 
 @dataclass(frozen=True)
 class ConeWitness:
-    """The face assigned to one cone, plus the exact meeting point.
+    """The face assigned to the cone of sign vector signs, plus the
+    exact meeting point.
 
     point lies in the relative interior of face and strictly inside the
     cone; inclusion_ok records the vertex-sign check that the whole
     relative interior sits strictly inside the cone's halfspace system.
     """
 
-    subset: SignedSubset
+    signs: tuple
     face: Face
     point: QVector
     inclusion_ok: bool
@@ -224,8 +195,8 @@ class ConeWitness:
 class Certificate:
     """Machine-checkable record of the whole construction on one input.
 
-    witnesses holds one entry per cone in enumerate_cones order, or is
-    empty when a hypothesis fails.  verdict is the conjunction of every
+    witnesses holds one entry per cone sign vector, in enumerate_cones
+    order, or is empty when a hypothesis fails.  verdict is the conjunction of every
     check, including that the face count reached 3^d.
     """
 
@@ -246,7 +217,7 @@ class Certificate:
             "total": self.total,
             "cones": [
                 {
-                    "signs": list(w.subset.signs),
+                    "signs": list(w.signs),
                     "face_vertices": list(w.face.vertex_ids),
                     "face_dim": w.face.dim,
                     "witness_point": [str(c) for c in w.point],
@@ -278,9 +249,7 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
     each result, so nothing outlives the call.  A miss raises
     RuntimeError, since it can only be a bug.
 
-    Deterministic end to end; distinct cones could be dispatched in
-    parallel without changing the result, since the face lattice and
-    polytope are immutable and assembly is order-independent.
+    Deterministic end to end.
     """
     report = verify_basis(p, basis)
     lat = enumerate_faces(p)
@@ -294,16 +263,16 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
                 allowed = _face_signs(face, t)
                 for signs in product(*allowed):
                     taken.setdefault(signs, (face, allowed))
-        for subset in enumerate_cones(p.dim):
-            face, allowed = taken[subset.signs]
-            point = relint_meets_cone_interior(face, subset, t)
+        for signs in enumerate_cones(p.dim):
+            face, allowed = taken[signs]
+            point = relint_meets_cone_interior(face, signs, t)
             if point is None:
                 raise RuntimeError(
-                    f"the witness LP of cone {subset.signs} misses face "
+                    f"the witness LP of cone {signs} misses face "
                     f"{face.vertex_ids}, whose vertex signs admit it"
                 )
-            ok = _inclusion_ok(allowed, subset)
-            witnesses.append(ConeWitness(subset, face, point, ok))
+            ok = _inclusion_ok(allowed, signs)
+            witnesses.append(ConeWitness(signs, face, point, ok))
     distinct = {w.face.vertex_ids for w in witnesses}
     injective = bool(witnesses) and len(distinct) == len(witnesses)
     # the polytope itself is the 3^d-th face

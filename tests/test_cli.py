@@ -279,16 +279,18 @@ def test_missing_subcommand(run):
     assert code == 2
 
 
-def test_internal_error_exit_code(run, cube2_path, monkeypatch):
-    """A bug must not pass for a false verdict (1) or bad input (2)."""
+@pytest.mark.parametrize("error", [RuntimeError, TypeError])
+def test_internal_error_exit_code(run, cube2_path, monkeypatch, error):
+    """A bug must not pass for a false verdict (1) or bad input (2).  No
+    command input reaches a TypeError, which only guards library misuse."""
     def broken(*args):
-        raise RuntimeError("boom")
+        raise error("boom")
 
     monkeypatch.setattr(cli, "certify", broken)
     code, out, err = run("certify", cube2_path)
     assert code == 3 and out == ""
     assert err.startswith("internal error:\n")
-    assert "RuntimeError: boom" in err
+    assert f"{error.__name__}: boom" in err
 
 
 # --- JSON writer -----------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 from kalai3d import cli, kalai
 from kalai3d.fileio import format_polytope_text
 from kalai3d.kalai import (
-    SignedSubset,
     _face_signs,
     _inclusion_ok,
     _Tables,
@@ -41,48 +40,36 @@ def dot_table(basis, p):
     return [[v.dot(b) for b in basis] for v in p.vertices]
 
 
-def relint(face, subset, basis, p):
+def relint(face, signs, basis, p):
     """The witness LP on tables built here from the basis."""
-    return relint_meets_cone_interior(face, subset, _Tables(p, basis))
+    return relint_meets_cone_interior(face, signs, _Tables(p, basis))
 
 
-def inclusion_holds(face, subset, basis, p):
-    return _inclusion_ok(_face_signs(face, _Tables(p, basis)), subset)
+def inclusion_holds(face, signs, basis, p):
+    return _inclusion_ok(_face_signs(face, _Tables(p, basis)), signs)
 
 
 def witness(cert, signs):
-    return next(w for w in cert.witnesses if w.subset.signs == signs)
-
-
-class TestSignedSubset:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SignedSubset(())
-        with pytest.raises(ValueError):
-            SignedSubset((0, 0))
-        with pytest.raises(ValueError):
-            SignedSubset((2, 0))
-
-    def test_accessors(self):
-        k = SignedSubset((1, 0, -1))
-        assert k.selected() == ((0, 1), (2, -1))
-        assert k.unselected() == (1,)
-        assert len(k) == 3
+    return next(w for w in cert.witnesses if w.signs == signs)
 
 
 class TestEnumerateCones:
     def test_d1_order(self):
-        assert [k.signs for k in enumerate_cones(1)] == [(-1,), (1,)]
+        assert enumerate_cones(1) == [(-1,), (1,)]
 
     def test_counts(self):
         assert len(enumerate_cones(2)) == 8
         assert len(enumerate_cones(4)) == 80
 
     def test_lexicographic_and_complete(self):
-        cones = [k.signs for k in enumerate_cones(2)]
+        cones = enumerate_cones(2)
         assert cones == sorted(cones)
         assert len(set(cones)) == len(cones)
         assert (0, 0) not in cones
+        for d in range(1, 5):
+            assert enumerate_cones(d) == [
+                s for s in product((-1, 0, 1), repeat=d) if any(s)
+            ]
 
     def test_d0_rejected(self):
         with pytest.raises(ValueError):
@@ -101,19 +88,19 @@ class TestRelintMeetsCone:
     def test_right_edge_positive_x(self, square):
         p, lat, basis = square
         edge = face_of(lat, 2, 3)
-        got = relint(edge, SignedSubset((1, 0)), basis, p)
+        got = relint(edge, (1, 0), basis, p)
         assert got == qv(1, 0)
 
     def test_corner_open_quadrant(self, square):
         p, lat, basis = square
         corner = face_of(lat, 3)
-        got = relint(corner, SignedSubset((1, 1)), basis, p)
+        got = relint(corner, (1, 1), basis, p)
         assert got == qv(1, 1)
 
     def test_corner_misses_axis_cone(self, square):
         p, lat, basis = square
         corner = face_of(lat, 3)
-        assert relint(corner, SignedSubset((1, 0)), basis, p) is None
+        assert relint(corner, (1, 0), basis, p) is None
 
     def test_top_face_meets_everything(self, square):
         p, lat, basis = square
@@ -149,7 +136,7 @@ class TestInteriorInclusion:
     def test_square_witnesses_pass(self, square):
         p, _, basis = square
         for w in certify(p, basis).witnesses:
-            assert inclusion_holds(w.face, w.subset, basis, p)
+            assert inclusion_holds(w.face, w.signs, basis, p)
             assert w.inclusion_ok
 
     def test_all_zero_edge_fails(self):
@@ -159,12 +146,12 @@ class TestInteriorInclusion:
         # vertices sorted: 0=(-1,0) 1=(0,-1) 2=(0,1) 3=(1,0)
         fake_face = Face(vertex_ids=(1, 2), dim=1)
         basis = standard_basis(2)
-        assert not inclusion_holds(fake_face, SignedSubset((1, 0)), basis, p)
+        assert not inclusion_holds(fake_face, (1, 0), basis, p)
 
     def test_mixed_sign_edge_fails(self, square):
         p, _, basis = square
         fake_face = Face(vertex_ids=(0, 3), dim=1)  # a diagonal
-        assert not inclusion_holds(fake_face, SignedSubset((1, 0)), basis, p)
+        assert not inclusion_holds(fake_face, (1, 0), basis, p)
 
 
 def sign_table_mismatches(p, basis):
@@ -177,8 +164,8 @@ def sign_table_mismatches(p, basis):
         allowed = set(product(*_face_signs(f, tables)))
         for k in enumerate_cones(p.dim):
             x = relint_meets_cone_interior(f, k, tables)
-            if (k.signs in allowed) != (x is not None):
-                out.append((f.vertex_ids, k.signs))
+            if (k in allowed) != (x is not None):
+                out.append((f.vertex_ids, k))
     return out
 
 
@@ -250,7 +237,7 @@ class TestCertify:
     def test_square_full_map(self):
         cert = certify(generate("cube", dim=2), standard_basis(2))
         assert cert.verdict
-        got = {w.subset.signs: w.face.vertex_ids for w in cert.witnesses}
+        got = {w.signs: w.face.vertex_ids for w in cert.witnesses}
         assert got == SQUARE_WITNESS_MAP
         assert cert.distinct_faces_count == 9
         assert cert.total == 9
@@ -273,10 +260,9 @@ class TestCertify:
         basis = standard_basis(3)
         cert = certify(p, basis)
         for w in cert.witnesses:
-            for i, s in w.subset.selected():
-                assert w.point.dot(s * basis[i]) > 0
-            for i in w.subset.unselected():
-                assert w.point.dot(basis[i]) == 0
+            for b, s in zip(basis, w.signs):
+                x = w.point.dot(b)
+                assert (x > 0) - (x < 0) == s
             for j, h in enumerate(p.halfspaces):
                 assert h.normal.dot(w.point) <= h.offset
                 assert (h.normal.dot(w.point) == h.offset) == (
@@ -294,14 +280,14 @@ class TestCertify:
 
         def separators(a, b):
             out = []
-            for i, s in a.subset.selected():
-                if b.subset.signs[i] != s:
+            for i, s in enumerate(a.signs):
+                if s and b.signs[i] != s:
                     out.append(s * basis[i])
             return out
 
         for a in ws:
             for b in ws:
-                if a.subset == b.subset:
+                if a.signs == b.signs:
                     continue
                 for u in separators(a, b):
                     assert b.point.dot(u) <= 0
@@ -315,7 +301,7 @@ class TestCertify:
         for w in certify(p, basis).witnesses:
             for f in lat.faces:
                 if f.dim < w.face.dim:
-                    assert relint(f, w.subset, basis, p) is None
+                    assert relint(f, w.signs, basis, p) is None
 
     def test_lp_miss_is_internal_error(self, monkeypatch, tmp_path, capsys):
         """An LP that misses a face its signs admit is a bug: certify
@@ -410,7 +396,7 @@ def rotated_cube3():
     return build_polytope(VRep(3, points)), tuple(QVector(r) for r in rot)
 
 
-def rational_witness(face, subset, basis, p):
+def rational_witness(face, signs, basis, p):
     """sum(w_j v_j) in Fractions over the face's vertices, with the
     weights w_j = mu_j + eps from the reference simplex on the rational
     rows of the witness LP."""
@@ -418,12 +404,14 @@ def rational_witness(face, subset, basis, p):
     k = len(ids)
     dots = dot_table(basis, p)
     rows = [((1,) * k + (k,), "==", 1)]
-    for i, s in subset.selected():
-        row = [s * dots[v][i] for v in ids]
-        rows.append((row + [sum(row) - basis[i].dot(basis[i])], ">=", 0))
-    for i in subset.unselected():
-        row = [dots[v][i] for v in ids]
-        rows.append((row + [sum(row)], "==", 0))
+    for i, s in enumerate(signs):
+        if s:
+            row = [s * dots[v][i] for v in ids]
+            rows.append((row + [sum(row) - basis[i].dot(basis[i])], ">=", 0))
+    for i, s in enumerate(signs):
+        if not s:
+            row = [dots[v][i] for v in ids]
+            rows.append((row + [sum(row)], "==", 0))
     status, _, x = reference.maximize(k + 1, rows, [0] * k + [1])
     assert status == reference.OPTIMAL and x[-1] > 0
     weights = [mu + x[-1] for mu in x[:-1]]
@@ -451,7 +439,7 @@ class TestIntegerWitness:
         cert = certify(p, basis)
         assert cert.verdict
         for w in cert.witnesses:
-            assert w.point == rational_witness(w.face, w.subset, basis, p)
+            assert w.point == rational_witness(w.face, w.signs, basis, p)
 
     def test_tables_take_the_smallest_integer_scale(self):
         """The dot table, the norms and scale share no factor, and over
@@ -477,15 +465,18 @@ GOLDEN = json.loads(
 )
 
 
-def lp_key(face, subset, dots, norms):
+def lp_key(face, signs, dots, norms):
     """What the witness LP of one cone depends on: the face's signed dot
     products on the selected basis vectors with their squared norms, then
     its dot products on the unselected ones, each group in index order."""
     ids = face.vertex_ids
     selected = tuple(
-        (tuple(s * dots[v][i] for v in ids), norms[i]) for i, s in subset.selected()
+        (tuple(s * dots[v][i] for v in ids), norms[i])
+        for i, s in enumerate(signs) if s
     )
-    unselected = tuple(tuple(dots[v][i] for v in ids) for i in subset.unselected())
+    unselected = tuple(
+        tuple(dots[v][i] for v in ids) for i, s in enumerate(signs) if not s
+    )
     return selected, unselected
 
 
@@ -515,7 +506,7 @@ def count_solves(monkeypatch, p, basis):
     # import of kalai3d in the same process could point elsewhere
     monkeypatch.setattr(kalai.simplex.Model, "maximize", counting)
     cert = certify(p, basis)
-    keys = {lp_key(w.face, w.subset, dots, norms) for w in cert.witnesses}
+    keys = {lp_key(w.face, w.signs, dots, norms) for w in cert.witnesses}
     return cert, len(solved), len(keys)
 
 
