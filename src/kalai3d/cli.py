@@ -34,7 +34,7 @@ from .fileio import (
 )
 from .kalai import certify, enumerate_cones
 from .lattice import brute_force_faces, enumerate_faces
-from .polytope import FAMILIES, HRep, Polytope, VRep, build_polytope, generate
+from .polytope import FAMILIES, HRep, InputError, Polytope, VRep, build_polytope, generate
 from .ratgeom import QVector, rational
 from .symmetry import standard_basis, verify_basis
 
@@ -303,10 +303,10 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
-        # ValueError includes ParseError and GeometryError (unbounded,
-        # empty, degenerate); a TypeError only guards library misuse,
-        # so it is a bug and exits 3
+    except (OSError, InputError) as exc:
+        # InputError includes ParseError and GeometryError (unbounded,
+        # empty, degenerate); any other ValueError or TypeError guards
+        # library misuse, so it is a bug and exits 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Union
 
-from .polytope import Halfspace, HRep, VRep
+from .polytope import Halfspace, HRep, InputError, VRep
 from .ratgeom import QVector, format_rational, parse_rational
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed input file, with position information."""
 
     def __init__(

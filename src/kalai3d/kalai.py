@@ -29,9 +29,9 @@ The pass runs on tables built once per certify call.  Per basis vector
 two vertex bitmasks make a face's allowed signs two ANDs each.  The LP
 rows hold only the face's vertex-basis dot products, signed by the
 cone, from one integer table, so many cones pose the same integer rows
-and the simplex runs once per distinct system.  Its weights, kept as
-integers, and the integer vertices give each point coordinate as one
-Rational.
+and the simplex runs once per distinct system.  The simplex takes ints
+and returns integer numerators over one denominator; those weights and
+the integer vertices give each point coordinate as one Rational.
 
 Everything is exact: all recorded points are rational.
 """
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -113,7 +113,9 @@ def relint_meets_cone_interior(
 
     Every row is the rational one times t.scale, so Bland's rule takes
     the same pivots, and the simplex runs only on integer rows not yet in
-    t.lps.  The point is recombined from this face's vertices either way.
+    t.lps.  Its numerators give each lambda_j = mu_j + eps over den * t.den
+    against the integer vertex table, so the point, recombined from this
+    face's vertices either way, is one Rational per coordinate.
     """
     ids = face.vertex_ids
     k = len(ids)
@@ -139,10 +141,8 @@ def relint_meets_cone_interior(
         result = m.maximize([0] * k + [1])
         found = ()
         if result.status == simplex.OPTIMAL and result.x[-1] > 0:
-            weights = [w + result.x[-1] for w in result.x[:-1]]
-            lcd = lcm(*(w.denominator for w in weights))
-            weights = [w.numerator * (lcd // w.denominator) for w in weights]
-            found = weights, lcd * t.den
+            eps = result.x[-1]
+            found = [mu + eps for mu in result.x[:-1]], result.den * t.den
         elif result.status not in (simplex.OPTIMAL, simplex.INFEASIBLE):
             raise RuntimeError(f"witness LP {result.status}; eps is bounded by 1/k")
         t.lps[key] = found

@@ -18,10 +18,11 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul, sub
 from typing import Iterable
 
 from .polytope import Polytope, _bits
-from .ratgeom import QVector, affine_rank, kernel_basis
+from .ratgeom import _integer_table, affine_rank, kernel_basis
 from . import simplex
 
 __all__ = [
@@ -135,35 +136,25 @@ _ORACLE_MAX_DIM = 3
 _ORACLE_MAX_VERTICES = 40
 
 
-def _aff_complement_basis(points: list) -> list:
-    """Basis of the orthogonal complement of the affine hull's directions.
+def _supports_exactly(heights: list, member_ids: frozenset) -> bool:
+    """Whether some hyperplane through these vertices supports the
+    polytope with contact exactly this set.
 
-    For a single point that is the whole space.  A point x lies in the
-    affine hull iff (x - points[0]) is orthogonal to every basis vector.
+    heights[v] holds vertex v's dot products with a basis of the
+    directions normal to the set's affine hull, so the hull is where
+    they equal a member's.  Equivalent separation form: such a
+    hyperplane exists iff the hull misses the hull of the remaining
+    vertices, which is one exact feasibility question.  Its rows are
+    the rational ones each times its own factor > 0, which keeps the
+    feasible set, and that is all this asks.
     """
-    d = len(points[0])
-    if len(points) == 1:
-        return [QVector.unit(d, i) for i in range(d)]
-    base = points[0]
-    return kernel_basis([q - base for q in points[1:]])
-
-
-def _supports_exactly(p: Polytope, member_ids: frozenset, comp_basis: list) -> bool:
-    """Whether some hyperplane through these vertices supports p with
-    contact exactly this set.
-
-    Equivalent separation form: such a hyperplane exists iff the affine
-    hull of the set misses the hull of the remaining vertices, which is
-    one exact feasibility question.
-    """
-    verts = p.vertices
-    base = verts[min(member_ids)]
-    others = [i for i in range(len(verts)) if i not in member_ids]
+    level = heights[min(member_ids)]
+    others = [h for v, h in enumerate(heights) if v not in member_ids]
 
     m = simplex.Model(len(others))  # one weight per other vertex
-    m.constrain([1] * len(others), "==", 1)
-    for u in comp_basis:
-        m.constrain([verts[i].dot(u) for i in others], "==", base.dot(u))
+    m.constrain([1] * len(others), simplex.EQ, 1)
+    for j, b in enumerate(level):
+        m.constrain([h[j] for h in others], simplex.EQ, b)
     return m.maximize([0] * len(others)).status == simplex.INFEASIBLE
 
 
@@ -186,29 +177,27 @@ def brute_force_faces(p: Polytope) -> FaceLattice:
             f"oracle limited to dim <= {_ORACLE_MAX_DIM} and "
             f"{_ORACLE_MAX_VERTICES} vertices, got dim={p.dim}, n={n}"
         )
-    verts = p.vertices
+    verts, _ = _integer_table(p.vertices)
 
     candidates = {}
     for size in range(1, p.dim + 1):
         for seed in combinations(range(n), size):
-            pts = [verts[i] for i in seed]
-            if affine_rank(pts) != size - 1:
-                continue
-            comp = _aff_complement_basis(pts)
-            base = pts[0]
-            members = frozenset(
-                i
-                for i in range(n)
-                if all((verts[i] - base).dot(u) == 0 for u in comp)
-            )
+            base = verts[seed[0]]
+            # seed[0]'s own zero row gives a one-point seed the whole space
+            comp = kernel_basis([tuple(map(sub, verts[i], base)) for i in seed])
+            if len(comp) != p.dim - size + 1:
+                continue  # the seed is affinely dependent
+            heights = [tuple(sum(map(mul, v, u)) for u in comp) for v in verts]
+            level = heights[seed[0]]
+            members = frozenset(i for i, h in enumerate(heights) if h == level)
             if members not in candidates:
-                candidates[members] = comp
+                candidates[members] = heights
 
     faces = [tuple(range(n))] + [
         tuple(sorted(members))
-        for members, comp in candidates.items()
-        if _supports_exactly(p, members, comp)
+        for members, heights in candidates.items()
+        if _supports_exactly(heights, members)
     ]
     return FaceLattice(
-        p.dim, [Face(ids, affine_rank([verts[i] for i in ids])) for ids in faces]
+        p.dim, [Face(ids, affine_rank([p.vertices[i] for i in ids])) for ids in faces]
     )

@@ -30,6 +30,7 @@ from typing import Iterable, Optional, Union
 from .ratgeom import QVector, Rational, affine_rank, echelon, rational
 
 __all__ = [
+    "InputError",
     "GeometryError",
     "UnboundedError",
     "DegenerateError",
@@ -46,7 +47,12 @@ __all__ = [
 ]
 
 
-class GeometryError(ValueError):
+class InputError(ValueError):
+    """Input that describes no valid instance: besides OSError, the only
+    exception the CLI reports as exit 2 rather than as a bug."""
+
+
+class GeometryError(InputError):
     """The input does not describe a bounded full-dimensional polytope."""
 
 
@@ -457,25 +463,27 @@ def generate(
     retries fresh samples until the intersection is bounded.
     """
     if dim is not None and dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+        raise InputError(f"dimension must be positive, got {dim}")
     if family == "cube":
         if dim is None:
-            raise ValueError("cube requires dim")
+            raise InputError("cube requires dim")
         return build_polytope(_cube(dim))
     if family == "cross_polytope":
         if dim is None:
-            raise ValueError("cross_polytope requires dim")
+            raise InputError("cross_polytope requires dim")
         return build_polytope(_cross_polytope(dim))
     if family == "product":
         if factors is None or len(factors) != 2:
-            raise ValueError("product requires factors=(P, Q)")
+            raise InputError("product requires factors=(P, Q)")
         p, q = factors
         if not isinstance(p, Polytope) or not isinstance(q, Polytope):
             raise TypeError("product factors must be Polytope instances")
         return build_polytope(_product(p, q))
     if family == "random_reflection_symmetric":
         if dim is None or m is None or seed is None:
-            raise ValueError("random_reflection_symmetric requires dim, m, seed")
+            raise InputError("random_reflection_symmetric requires dim, m, seed")
+        if m < 1:
+            raise InputError(f"orbit count must be positive, got {m}")
         rng = random.Random(seed)
         for _ in range(_RANDOM_ATTEMPTS):
             sub_seed = rng.getrandbits(64)
@@ -487,4 +495,4 @@ def generate(
             f"no bounded instance found in {_RANDOM_ATTEMPTS} attempts "
             f"(dim={dim}, m={m}, seed={seed})"
         )
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    raise InputError(f"unknown family {family!r}; expected one of {FAMILIES}")

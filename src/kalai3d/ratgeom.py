@@ -6,7 +6,10 @@ here ever touches floating point.  The scalar type Rational is
 fractions.Fraction, which prints as "p/q" or "p".  Elimination runs in
 integers: pivot is the one fraction-free pivot step, behind echelon
 (and so affine_rank and kernel_basis), the double description's start
-and the simplex tableau.
+and the simplex tableau.  Integers go in and come out: a rational
+table enters through _integer_table as integers over one denominator,
+kernel_basis returns integer vectors, and the simplex numerators over
+one positive denominator.
 """
 
 from __future__ import annotations
@@ -210,22 +213,23 @@ def affine_rank(points: Sequence[QVector]) -> int:
     return len(echelon(diffs))
 
 
-def kernel_basis(rows: Sequence[QVector]) -> list:
-    """Basis of the right kernel {x : A x = 0} of the matrix with these
-    rows, in deterministic order.
+def kernel_basis(rows: Sequence) -> list:
+    """Basis of the right kernel {x : A x = 0} of the integer matrix
+    with these rows, as integer tuples in deterministic order.
 
-    Returns one vector per free column of the reduced echelon form;
-    an empty list means the kernel is trivial.
+    Returns one vector per free column of the reduced echelon form, D
+    times the rational one with D > 0 the echelon's pivot entry; an
+    empty list means the kernel is trivial.
     """
-    work, _ = _integer_table(rows)
+    work = [list(row) for row in rows]
     pivots = echelon(work)
     den = work[0][pivots[0]] if pivots else 1
-    ncols = len(rows[0])
+    ncols = len(work[0])
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [Rational(0)] * ncols
-        vec[fc] = Rational(1)
+        vec = [0] * ncols
+        vec[fc] = den
         for r, pc in enumerate(pivots):
-            vec[pc] = Rational(-work[r][fc], den)
-        basis.append(QVector._of(tuple(vec)))
+            vec[pc] = -work[r][fc]
+        basis.append(tuple(vec))
     return basis

@@ -1,4 +1,4 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact two-phase simplex over the integers.
 
 Internal machinery: the geometric modules use this for deciding whether
 a relative interior meets an open cone and for the definition-level
@@ -6,22 +6,23 @@ face oracle.  Both need the same shape of LP, so Model has exactly that
 shape: nvars variables, each >= 0, dense rows with sense ">=" or "==",
 and one dense objective to maximize.
 
-Pivoting follows Bland's rule (smallest eligible column enters, ties on
-the leaving row broken by smallest basic variable), which terminates on
-every input without any perturbation.  Int entries (rows, right-hand
-sides, objective) are taken as they are and anything else becomes a
-Rational.  The tableau holds integers over one positive denominator and
-every pivot is ratgeom.pivot, so it is exact and OPTIMAL / INFEASIBLE /
-UNBOUNDED are decided, not estimated.
+Every entry (rows, right-hand sides, objective) is an int, and anything
+else, a bool included, raises TypeError: pivot divides with //, which
+is exact only on integers.  An optimum comes back as integer numerators
+x over one denominator den > 0.  Pivoting follows Bland's rule
+(smallest eligible column enters, ties on the leaving row broken by
+smallest basic variable), which terminates on every input without any
+perturbation.  The tableau holds integers over one positive denominator
+and every pivot is ratgeom.pivot, so it is exact and OPTIMAL /
+INFEASIBLE / UNBOUNDED are decided, not estimated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
-from .ratgeom import Rational, pivot
+from .ratgeom import pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -35,17 +36,25 @@ EQ = "=="
 class LPResult:
     """Outcome of Model.maximize.
 
-    value and x are None unless status == OPTIMAL; x holds one optimal
-    assignment, in variable order.
+    x and den are None unless status == OPTIMAL; then x[j] / den, with
+    den > 0, is variable j of one optimal assignment.
     """
 
     status: str
-    value: Optional[object] = None
     x: Optional[tuple] = None
+    den: Optional[int] = None
+
+
+def _require_ints(entries: Sequence) -> None:
+    """Raise TypeError unless every entry is an int; a bool is not."""
+    for v in entries:
+        if type(v) is not int:
+            raise TypeError(f"simplex entries must be int, not {type(v).__name__}")
 
 
 class Model:
-    """max c.x subject to dense rows over x >= 0, with x of length nvars.
+    """max c.x subject to dense integer rows over x >= 0, with x of
+    length nvars.
 
     Tableau columns: the variables first, then one surplus column per
     ">=" row in row order, then one artificial per row.
@@ -53,68 +62,60 @@ class Model:
 
     def __init__(self, nvars: int) -> None:
         self._nvars = nvars
-        self._rows: list[tuple[list, str, object]] = []
+        self._rows: list[tuple[list, str, int]] = []
 
-    def constrain(self, row: Sequence, sense: str, rhs) -> None:
-        """Add row . x <sense> rhs with sense in {>=, ==}.
-
-        Int entries are kept as they are; an int has a numerator and a
-        denominator, so it scales like the Rational it equals.
-        """
+    def constrain(self, row: Sequence, sense: str, rhs: int) -> None:
+        """Add row . x <sense> rhs with sense in {>=, ==}."""
         if sense not in (GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
         if len(row) != self._nvars:
             raise ValueError(
                 f"row of length {len(row)} for {self._nvars} variables"
             )
-        self._rows.append(([_exact(c) for c in row], sense, _exact(rhs)))
+        _require_ints((*row, rhs))
+        self._rows.append((list(row), sense, rhs))
 
     def maximize(self, objective: Sequence) -> LPResult:
         """Solve max objective . x subject to the recorded constraints.
 
-        The tableau is the rational one times the lcm L of every
-        denominator in the rows, right-hand sides and objective, held as
-        integers over one positive denominator.  One uniform scale keeps
-        every sign and every ratio within a row, so Bland's rule takes
-        the same pivots as on the rationals; per-row scales would not,
-        since the phase-1 cost row sums the rows.
+        A caller with rational data makes it integer by one common
+        factor L > 0 over every row and right-hand side (the objective
+        may take any factor > 0).  Up to positive scales of rows and
+        columns, which keep every sign and the order of the ratios
+        within a column, that is the rational tableau, so Bland's rule
+        takes the same pivots and x / den is the rational optimum.  A
+        factor per row would not do: the phase-1 cost row sums the rows,
+        so per-row factors weight its artificials unequally, phase 1 can
+        pivot elsewhere, and only the status is sure to stay the same.
         """
         n = self._nvars
         if len(objective) != n:
             raise ValueError(
                 f"objective of length {len(objective)} for {n} variables"
             )
-        objective = [_exact(c) for c in objective]
-        scale = lcm(
-            *(v.denominator for coeffs, _, b in self._rows for v in (*coeffs, b)),
-            *(c.denominator for c in objective),
-        )
-
-        def whole(v):
-            return v.numerator * (scale // v.denominator)
-
+        _require_ints(objective)
         m = len(self._rows)
         ncols = n + sum(1 for _, sense, _ in self._rows if sense == GE)
         tableau = []
         surplus_at = n
         for i, (coeffs, sense, b) in enumerate(self._rows):
-            row = [whole(c) for c in coeffs] + [0] * (ncols - n + m) + [whole(b)]
+            row = coeffs + [0] * (ncols - n + m) + [b]
             if sense == GE:
-                row[surplus_at] = -scale
+                row[surplus_at] = -1
                 surplus_at += 1
             if b < 0:
                 row = [-v for v in row]
-            row[ncols + i] = scale  # the row's artificial
+            row[ncols + i] = 1  # the row's artificial
             tableau.append(row)
         # Reduced phase-1 cost row: artificials are basic, so subtract every
-        # tableau row from the raw cost (which is L on each artificial column).
-        phase1 = [0] * ncols + [scale] * m + [0]
+        # tableau row from the raw cost (which is 1 on each artificial column).
+        phase1 = [0] * ncols + [1] * m + [0]
         for row in tableau:
             phase1 = [a - b for a, b in zip(phase1, row)]
         # The real cost row minimizes the negated objective; artificials
         # cost 0 in it, so it is already reduced with respect to the
         # initial basis.
-        phase2 = [-whole(c) for c in objective] + [0] * (ncols - n + m + 1)
+        phase2 = [-c for c in objective] + [0] * (ncols - n + m + 1)
 
         status, tableau, basis, den = _solve(tableau + [phase1, phase2], ncols)
         if status != OPTIMAL:
@@ -122,16 +123,7 @@ class Model:
         x = [0] * ncols
         for row, var in zip(tableau, basis):
             x[var] = row[-1]
-        return LPResult(
-            status=OPTIMAL,
-            value=Rational(tableau[-1][-1], den * scale),
-            x=tuple(Rational(v, den) for v in x[:n]),
-        )
-
-
-def _exact(v):
-    """v itself when it is an int, else v as a Rational."""
-    return v if type(v) is int else Rational(v)
+        return LPResult(status=OPTIMAL, x=tuple(x[:n]), den=den)
 
 
 def _solve(tableau: list, ncols: int):

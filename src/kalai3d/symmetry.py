@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
-from .polytope import Polytope
+from .polytope import InputError, Polytope
 from .ratgeom import QVector, _integer_table
 
 __all__ = [
@@ -82,9 +82,9 @@ def verify_basis(p: Polytope, basis: Sequence[QVector]) -> SymmetryReport:
     there is nothing meaningful to report against the wrong dimension.
     """
     if len(basis) != p.dim:
-        raise ValueError(f"expected {p.dim} basis vectors, got {len(basis)}")
+        raise InputError(f"expected {p.dim} basis vectors, got {len(basis)}")
     if any(len(v) != p.dim for v in basis):
-        raise ValueError("basis vector length differs from polytope dimension")
+        raise InputError("basis vector length differs from polytope dimension")
 
     def report(failing: int, details: str) -> SymmetryReport:
         central = is_centrally_symmetric(p)

@@ -230,6 +230,15 @@ def test_generate_rejects_nonpositive_dim(dim):
     assert f"dimension must be positive, got {dim}" in proc.stderr
 
 
+def test_generate_rejects_nonpositive_orbit_count(run):
+    code, out, err = run(
+        "generate", "--family", "random_reflection_symmetric",
+        "--dim", "2", "--m", "0", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert "orbit count must be positive, got 0" in err
+
+
 def test_generate_unknown_family(run):
     code, _, err = run("generate", "--family", "orthoplex")
     assert code == 2
@@ -279,10 +288,11 @@ def test_missing_subcommand(run):
     assert code == 2
 
 
-@pytest.mark.parametrize("error", [RuntimeError, TypeError])
+@pytest.mark.parametrize("error", [RuntimeError, TypeError, ValueError])
 def test_internal_error_exit_code(run, cube2_path, monkeypatch, error):
-    """A bug must not pass for a false verdict (1) or bad input (2).  No
-    command input reaches a TypeError, which only guards library misuse."""
+    """A bug must not pass for a false verdict (1) or bad input (2).  Bad
+    input raises InputError; no command input reaches a TypeError or any
+    other ValueError, which only guard library misuse."""
     def broken(*args):
         raise error("boom")
 
@@ -382,12 +392,23 @@ def test_selftest(run):
     assert "FAIL" not in out
 
 
-def test_module_entry_point(cross3_path):
+@pytest.mark.parametrize(
+    "flags, command, tail",
+    [
+        ((), ("fvector", "CROSS3"), "total: 27\n"),
+        # asserts stripped: the integer simplex (through the face oracle),
+        # the lattice and certify must hold without them
+        (("-O",), ("selftest",), "all checks passed\n"),
+    ],
+    ids=["fvector", "selftest-O"],
+)
+def test_module_entry_point(cross3_path, flags, command, tail):
     src = Path(cli.__file__).resolve().parents[1]
+    argv = [cross3_path if a == "CROSS3" else a for a in command]
     proc = subprocess.run(
-        [sys.executable, "-m", "kalai3d", "fvector", cross3_path],
+        [sys.executable, *flags, "-m", "kalai3d", *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout.endswith("total: 27\n")
+    assert proc.stdout.endswith(tail)

@@ -13,6 +13,7 @@ from kalai3d.polytope import (
     GeometryError,
     Halfspace,
     HRep,
+    InputError,
     Polytope,
     UnboundedError,
     VRep,
@@ -287,7 +288,7 @@ class TestProduct:
     def test_requires_polytopes(self):
         with pytest.raises(TypeError):
             generate("product", factors=(1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             generate("product", factors=None)
 
 
@@ -311,11 +312,11 @@ class TestRandomFamily:
             assert {QVector(s * c for s, c in zip(signs, v)) for v in vset} == vset
 
     def test_missing_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             generate("random_reflection_symmetric", dim=2, m=3)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             generate("zonotope", dim=2)
 
 

@@ -139,21 +139,22 @@ class TestAffineRank:
 
 class TestKernel:
     def test_trivial(self):
-        assert kernel_basis([qv(1, 0), qv(0, 1)]) == []
+        assert kernel_basis([(1, 0), (0, 1)]) == []
 
     def test_line(self):
-        (k,) = kernel_basis([qv(1, 1)])
-        assert qv(1, 1).dot(k) == 0
-        assert not k.is_zero()
+        (k,) = kernel_basis([(1, 1)])
+        assert k[0] + k[1] == 0
+        assert any(k)
 
-    @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=3))
+    @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+                    min_size=1, max_size=3))
     def test_members_annihilate(self, rows):
-        rows = [QVector(r) for r in rows]
         basis = kernel_basis(rows)
-        assert len(basis) + rank(r.coords for r in rows) == 4
+        assert len(basis) + rank(rows) == 4 and rank(basis) == len(basis)
         for k in basis:
+            assert [type(c) for c in k] == [int] * 4
             for row in rows:
-                assert row.dot(k) == 0
+                assert sum(a * b for a, b in zip(row, k)) == 0
 
 
 @settings(max_examples=300, deadline=None)

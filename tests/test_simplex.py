@@ -1,7 +1,13 @@
-"""Exact simplex solver, including the classic cycling example."""
+"""Exact simplex solver, including the classic cycling example.
+
+Model takes ints only; rational cases are scaled here by one common
+lcm, as Model.maximize asks of a caller with rational data, and each
+optimum is read back as x / den.
+"""
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +15,44 @@ from hypothesis import strategies as st
 
 import reference
 from kalai3d import simplex
-from kalai3d.ratgeom import rational
 from kalai3d.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Model
+
+
+def integer_lp(rows, objective):
+    """(rows, objective) times the lcm of every denominator in them."""
+    scale = lcm(
+        *(Fraction(v).denominator for coeffs, _, b in rows for v in (*coeffs, b)),
+        *(Fraction(c).denominator for c in objective),
+    )
+
+    def whole(v):
+        v = Fraction(v) * scale
+        assert v.denominator == 1
+        return v.numerator
+
+    return (
+        [([whole(c) for c in coeffs], sense, whole(b)) for coeffs, sense, b in rows],
+        [whole(c) for c in objective],
+    )
+
+
+def solve(n, rows, objective):
+    """Model.maximize on the rational LP, scaled to integers."""
+    rows, objective = integer_lp(rows, objective)
+    m = Model(n)
+    for row in rows:
+        m.constrain(*row)
+    return m.maximize(objective)
+
+
+def point(r):
+    """The optimal x of r as Fractions."""
+    return tuple(Fraction(v, r.den) for v in r.x)
+
+
+def value(r, objective):
+    """objective . x at the optimum of r, in Fractions."""
+    return sum(Fraction(c) * v for c, v in zip(objective, point(r)))
 
 
 def test_box_corner():
@@ -19,8 +61,9 @@ def test_box_corner():
     m.constrain([0, -1], ">=", -2)
     r = m.maximize([1, 1])
     assert r.status == OPTIMAL
-    assert r.value == 3
-    assert r.x == (1, 2)
+    assert r.den > 0
+    assert point(r) == (1, 2)
+    assert value(r, [1, 1]) == 3
 
 
 def test_exact_fractional_optimum():
@@ -30,29 +73,17 @@ def test_exact_fractional_optimum():
     m.constrain([-1, -3], ">=", -1)
     r = m.maximize([1, 1])
     assert r.status == OPTIMAL
-    assert r.value == rational(3, 5)
-    assert r.x == (rational(2, 5), rational(1, 5))
-
-
-def test_integer_input_gives_fractions():
-    # the tableau holds integer numerators over one denominator; x and
-    # the value must still come back as Fractions, not ints
-    m = Model(3)
-    m.constrain([-2, -1, 0], ">=", -1)
-    m.constrain([-1, -3, 0], ">=", -1)
-    m.constrain([0, 0, 1], "==", 7)
-    r = m.maximize([1, 1, 0])
-    assert r.status == OPTIMAL
-    assert type(r.value) is Fraction
-    assert [type(v) for v in r.x] == [Fraction] * 3
-    assert r.x == (rational(2, 5), rational(1, 5), 7)
+    assert [type(v) for v in r.x] == [int, int] and type(r.den) is int
+    assert point(r) == (Fraction(2, 5), Fraction(1, 5))
+    assert value(r, [1, 1]) == Fraction(3, 5)
 
 
 def test_infeasible():
     m = Model(1)
     m.constrain([1], ">=", 1)
     m.constrain([-1], ">=", 0)
-    assert m.maximize([1]).status == INFEASIBLE
+    r = m.maximize([1])
+    assert r.status == INFEASIBLE and r.x is None and r.den is None
 
 
 def test_unbounded():
@@ -68,8 +99,8 @@ def test_equality_mix():
     m.constrain([0, 0, -1], ">=", -1)
     r = m.maximize([0, 0, 1])
     assert r.status == OPTIMAL
-    assert r.value == 1
-    x_, y_, z_ = r.x
+    assert value(r, [0, 0, 1]) == 1
+    x_, y_, z_ = point(r)
     assert x_ + y_ + z_ == 10 and x_ - y_ >= 2 and z_ == 1
 
 
@@ -79,26 +110,28 @@ def test_redundant_equalities():
     m.constrain([2, 2], "==", 8)
     r = m.maximize([1, 0])
     assert r.status == OPTIMAL
-    assert r.value == 4
+    assert value(r, [1, 0]) == 4
 
 
 def test_beale_cycling_example_terminates():
     # Cycles forever under Dantzig pivoting; Bland's rule must finish.
-    m = Model(4)
-    m.constrain([rational(-1, 4), 60, rational(1, 25), -9], ">=", 0)
-    m.constrain([rational(-1, 2), 90, rational(1, 50), -3], ">=", 0)
-    m.constrain([0, 0, -1, 0], ">=", -1)
-    r = m.maximize([rational(3, 4), -150, rational(1, 50), -6])
+    F = Fraction
+    objective = [F(3, 4), -150, F(1, 50), -6]
+    r = solve(4, [
+        ([F(-1, 4), 60, F(1, 25), -9], ">=", 0),
+        ([F(-1, 2), 90, F(1, 50), -3], ">=", 0),
+        ([0, 0, -1, 0], ">=", -1),
+    ], objective)
     assert r.status == OPTIMAL
-    assert r.value == rational(1, 20)
-    assert r.x == (rational(1, 25), 0, 1, 0)
+    assert value(r, objective) == F(1, 20)
+    assert point(r) == (F(1, 25), 0, 1, 0)
 
 
 def test_no_constraints():
     m = Model(1)
     assert m.maximize([1]).status == UNBOUNDED
     r = m.maximize([-1])
-    assert r.status == OPTIMAL and r.value == 0 and r.x == (0,)
+    assert r.status == OPTIMAL and point(r) == (0,)
 
 
 def test_zero_row_infeasible():
@@ -117,13 +150,29 @@ def test_rejects_other_senses_and_lengths():
         m.maximize([1, 0, 0])
 
 
-coeff = st.integers(min_value=-4, max_value=4).map(rational)
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), True, False])
+@pytest.mark.parametrize("where", ["row", "rhs", "objective"])
+def test_rejects_entries_that_are_not_ints(bad, where):
+    """A Fraction, even a whole one, or a bool is a caller's bug: pivot's
+    floor division would be silently wrong on it."""
+    m = Model(2)
+    with pytest.raises(TypeError, match="int"):
+        if where == "row":
+            m.constrain([1, bad], ">=", 0)
+        elif where == "rhs":
+            m.constrain([1, 1], "==", bad)
+        else:
+            m.constrain([1, 1], "==", 1)
+            m.maximize([bad, 0])
+
+
+coeff = st.integers(min_value=-4, max_value=4)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
-        st.tuples(coeff, coeff, st.integers(min_value=1, max_value=5).map(rational)),
+        st.tuples(coeff, coeff, st.integers(min_value=1, max_value=5)),
         min_size=1,
         max_size=5,
     ),
@@ -137,14 +186,8 @@ def test_matches_vertex_enumeration_oracle(rows, obj):
     and takes the best objective value among them.  The model's
     variables are the box-shifted u = x + 10 and v = y + 10, both >= 0.
     """
-    box = rational(10)
-    ineqs = [(a, b, c) for a, b, c in rows]
-    ineqs += [
-        (rational(1), rational(0), box),
-        (rational(-1), rational(0), box),
-        (rational(0), rational(1), box),
-        (rational(0), rational(-1), box),
-    ]
+    box = 10
+    ineqs = list(rows) + [(1, 0, box), (-1, 0, box), (0, 1, box), (0, -1, box)]
 
     m = Model(2)
     for a, b, c in ineqs:
@@ -152,24 +195,24 @@ def test_matches_vertex_enumeration_oracle(rows, obj):
         m.constrain([-a, -b], ">=", -(c + box * (a + b)))
     got = m.maximize(list(obj))
     assert got.status == OPTIMAL  # origin is feasible, box bounds it
-    value = got.value - box * (obj[0] + obj[1])
+    val = value(got, obj) - box * (obj[0] + obj[1])
 
     best = None
     for (a1, b1, c1), (a2, b2, c2) in combinations(ineqs, 2):
         det = a1 * b2 - a2 * b1
         if det == 0:
             continue
-        p = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+        p = (Fraction(c1 * b2 - c2 * b1, det), Fraction(a1 * c2 - a2 * c1, det))
         if all(a * p[0] + b * p[1] <= c for a, b, c in ineqs):
-            val = obj[0] * p[0] + obj[1] * p[1]
-            if best is None or val > best:
-                best = val
+            v = obj[0] * p[0] + obj[1] * p[1]
+            if best is None or v > best:
+                best = v
     assert best is not None
-    assert value == best
+    assert val == best
     # and the reported point must be feasible with matching objective
-    px, py = (u - box for u in got.x)
+    px, py = (u - box for u in point(got))
     assert all(a * px + b * py <= c for a, b, c in ineqs)
-    assert obj[0] * px + obj[1] * py == value
+    assert obj[0] * px + obj[1] * py == val
 
 
 def _counting(fn, calls):
@@ -222,18 +265,19 @@ entry = st.one_of(
 # phase-1 cost row, and (0, 1/3) would come back instead of (2/3, 0)
 @example((2, [([1, 2], "==", Fraction(2, 3)), ([Fraction(3, 2), 2], ">=", -1)], [0, 0]))
 def test_matches_rational_tableau(case):
-    """The integer tableau against the Fraction tableau it replaced: the
-    same status, value and x, after the same number of pivots, on int
-    and rational rows mixing >= and ==, zero rows and non-unique optima."""
+    """The integer tableau, on rows scaled by one common lcm, against the
+    Fraction tableau on the rational rows: the same status, x and value,
+    after the same number of pivots, on int and rational rows mixing >=
+    and ==, zero rows and non-unique optima."""
     n, rows, objective = case
     got_pivots, want_pivots = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "pivot", _counting(simplex.pivot, got_pivots))
         mp.setattr(reference, "_pivot", _counting(reference._pivot, want_pivots))
-        m = Model(n)
-        for row in rows:
-            m.constrain(*row)
-        got = m.maximize(objective)
+        got = solve(n, rows, objective)
         want = reference.maximize(n, rows, objective)
-    assert (got.status, got.value, got.x) == want
+    if got.status == OPTIMAL:
+        assert (got.status, value(got, objective), point(got)) == want
+    else:
+        assert (got.status, got.x, got.den) == want
     assert len(got_pivots) == len(want_pivots)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kalai3d.lattice import enumerate_faces
-from kalai3d.polytope import GeometryError, VRep, build_polytope, generate
+from kalai3d.polytope import GeometryError, InputError, VRep, build_polytope, generate
 from kalai3d.ratgeom import QVector, rational
 from kalai3d.symmetry import is_centrally_symmetric, standard_basis, verify_basis
 
@@ -228,9 +228,9 @@ class TestVerifyBasis:
         assert not r.basis_verified and r.failing_vector == 1
 
     def test_wrong_size_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             verify_basis(generate("cube", dim=2), (qv(1, 0),))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             verify_basis(generate("cube", dim=2), (qv(1, 0, 0), qv(0, 1, 0)))
 
     @given(st.integers(1, 7), st.integers(1, 7))
