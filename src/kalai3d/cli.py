@@ -56,8 +56,7 @@ def _json_text(doc) -> str:
     and None.
 
     Anything else is a bug, not bad input, so it raises RuntimeError
-    (exit 3), never TypeError or ValueError (exit 2).  Callers write
-    the text only once it is complete.
+    (exit 3).  Callers write the text only once it is complete.
     """
     return _json_value(doc, "\n") + "\n"
 
@@ -304,9 +303,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, InputError) as exc:
-        # InputError includes ParseError and GeometryError (unbounded,
-        # empty, degenerate); any other ValueError or TypeError guards
-        # library misuse, so it is a bug and exits 3
+        # InputError: ParseError (a file that is not UTF-8 too),
+        # GeometryError and a result too large to write; any other
+        # ValueError or TypeError guards library misuse: a bug, exit 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -74,7 +74,11 @@ def _parse_header_int(tok, path, lineno, what: str, minimum: int) -> int:
             f"{what} must be a base-10 integer, got {text!r}",
             path=path, line=lineno, col=col,
         )
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what} has too many digits ({len(text)})",
+                         path=path, line=lineno, col=col) from None
     if value < minimum:
         raise ParseError(
             f"{what} must be at least {minimum}, got {value}",
@@ -186,14 +190,26 @@ def parse_basis_text(text: str, path: str = "<input>") -> tuple:
     )
 
 
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text; a byte that is not UTF-8 is a ParseError
+    at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a sentinel after the valid prefix stands where the bad byte is
+        rows = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(f"not UTF-8 text (byte {data[exc.start]:#04x})",
+                         path=path, line=len(rows), col=len(rows[-1])) from None
+
+
 def read_polytope(path: str) -> Union[HRep, VRep]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_polytope_text(fh.read(), path=path)
+    return parse_polytope_text(_read_text(path), path=path)
 
 
 def read_basis(path: str) -> tuple:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_basis_text(fh.read(), path=path)
+    return parse_basis_text(_read_text(path), path=path)
 
 
 def _table(rep: Union[HRep, VRep]):

@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 
 from .lattice import Face, enumerate_faces
 from .polytope import Polytope
-from .ratgeom import QVector, Rational, _integer_table
+from .ratgeom import QVector, Rational, _integer_table, format_rational
 from .symmetry import SymmetryReport, verify_basis
 from . import simplex
 
@@ -220,7 +220,7 @@ class Certificate:
                     "signs": list(w.signs),
                     "face_vertices": list(w.face.vertex_ids),
                     "face_dim": w.face.dim,
-                    "witness_point": [str(c) for c in w.point],
+                    "witness_point": [format_rational(c) for c in w.point],
                     "inclusion_ok": w.inclusion_ok,
                 }
                 for w in self.witnesses

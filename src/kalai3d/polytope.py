@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Union
 
-from .ratgeom import QVector, Rational, affine_rank, echelon, rational
+from .ratgeom import InputError, QVector, Rational, affine_rank, echelon, rational
 
 __all__ = [
     "InputError",
@@ -45,11 +45,6 @@ __all__ = [
     "generate",
     "FAMILIES",
 ]
-
-
-class InputError(ValueError):
-    """Input that describes no valid instance: besides OSError, the only
-    exception the CLI reports as exit 2 rather than as a bug."""
 
 
 class GeometryError(InputError):

@@ -20,6 +20,7 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
+    "InputError",
     "Rational",
     "rational",
     "parse_rational",
@@ -32,6 +33,12 @@ __all__ = [
 # One optional sign, a base-10 integer, optionally "/denominator" with the
 # denominator strictly positive.  No whitespace, no decimal points.
 _RATIONAL_TOKEN = re.compile(r"^[+-]?\d+(?:/[1-9][0-9]*)?$")
+
+
+class InputError(ValueError):
+    """Bad input, or a result too large to write: besides OSError, the
+    only exception the CLI reports as exit 2 rather than as a bug.  It
+    lives here, the lowest layer, since format_rational raises it."""
 
 
 def rational(numerator: object = 0, denominator: object = 1):
@@ -55,8 +62,13 @@ def parse_rational(token: str):
 
 
 def format_rational(value) -> str:
-    """Serialize to "p/q" (or "p" when the denominator is 1)."""
-    return str(value if isinstance(value, Rational) else Rational(value))
+    """Serialize to "p/q" (or "p" when the denominator is 1); a part
+    past Python's int-to-str digit limit raises InputError."""
+    q = value if isinstance(value, Rational) else Rational(value)
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise InputError(f"result too large to write: {exc}") from None
 
 
 class QVector:

@@ -261,6 +261,58 @@ def test_missing_file(run):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fvector", "BYTES"),
+        ("convert", "BYTES"),
+        ("certify", "BYTES"),
+        ("symmetry", "CROSS3", "--basis", "BYTES"),
+        ("generate", "--family", "product", "CROSS3", "BYTES"),
+    ],
+    ids=["fvector", "convert", "certify", "basis", "factor"],
+)
+def test_file_not_utf8(run, cross3_path, tmp_path, argv):
+    path = tmp_path / "bytes.vpoly"
+    path.write_bytes(b"\xff\xfe")
+    names = {"BYTES": str(path), "CROSS3": cross3_path}
+    code, out, err = run(*(names.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert f"{path}:1:1: not UTF-8 text" in err
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit on int/str conversion, which the inputs
+    below exceed; set here so an environment override cannot lift it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_header_with_too_many_digits(run, tmp_path, int_digit_limit):
+    path = tmp_path / "long.hpoly"
+    path.write_text("H " + "1" * 5000 + " 1\n1 1\n")
+    code, out, err = run("fvector", str(path))
+    assert code == 2 and out == ""
+    assert f"{path}:1:3: dimension has too many digits (5000)" in err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_result_too_large_to_write(run, tmp_path, int_digit_limit, json_flag):
+    # a square whose vertex coordinates have denominators of about 5000
+    # digits, from coefficients of 2501 digits that parse fine
+    a, b = 3 * 10**2500 + 1, 2 * 10**2500 + 1
+    path = tmp_path / "square.hpoly"
+    path.write_text(
+        f"H 2 4\n{a} {b} 1\n{-b} {a} 1\n{-a} {-b} 1\n{b} {-a} 1\n"
+    )
+    code, out, err = run("convert", str(path), *json_flag)
+    assert code == 2 and out == ""
+    assert "result too large to write" in err
+
+
 def test_unbounded_input(run, tmp_path):
     path = tmp_path / "halfplane.hpoly"
     path.write_text("H 2 1\n1 0 1\n")
@@ -392,23 +444,12 @@ def test_selftest(run):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize(
-    "flags, command, tail",
-    [
-        ((), ("fvector", "CROSS3"), "total: 27\n"),
-        # asserts stripped: the integer simplex (through the face oracle),
-        # the lattice and certify must hold without them
-        (("-O",), ("selftest",), "all checks passed\n"),
-    ],
-    ids=["fvector", "selftest-O"],
-)
-def test_module_entry_point(cross3_path, flags, command, tail):
+def test_module_entry_point(cross3_path):
     src = Path(cli.__file__).resolve().parents[1]
-    argv = [cross3_path if a == "CROSS3" else a for a in command]
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "kalai3d", *argv],
+        [sys.executable, "-m", "kalai3d", "fvector", cross3_path],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout.endswith(tail)
+    assert proc.stdout.endswith("total: 27\n")

@@ -119,6 +119,15 @@ def test_unknown_kind():
     assert "'X'" in str(e) and "'H' or 'V'" in str(e)
 
 
+def test_not_utf8_points_at_the_byte(tmp_path):
+    path = tmp_path / "bytes.hpoly"
+    path.write_bytes(b"H 2 1\n1 \xff 0\n")
+    with pytest.raises(ParseError) as info:
+        read_polytope(str(path))
+    assert (info.value.line, info.value.col) == (2, 3)
+    assert "not UTF-8 text (byte 0xff)" in str(info.value)
+
+
 def test_header_too_short():
     e = err("H 2\n1 0 1\n")
     assert e.line == 1
