@@ -54,7 +54,7 @@ class ParseError(InputError):
 
 
 _TOKEN = re.compile(r"\S+")
-_INTEGER = re.compile(r"^\d+$")
+_INTEGER = re.compile(r"[0-9]+")
 
 
 def _tokenize(text: str):
@@ -69,7 +69,7 @@ def _tokenize(text: str):
 
 def _parse_header_int(tok, path, lineno, what: str, minimum: int) -> int:
     col, text = tok
-    if not _INTEGER.match(text):
+    if not _INTEGER.fullmatch(text):
         raise ParseError(
             f"{what} must be a base-10 integer, got {text!r}",
             path=path, line=lineno, col=col,

@@ -13,20 +13,27 @@ The witness face is read off vertex signs.  A point of relint(F) is a
 combination of F's vertices with all weights positive, so x.b_i is 0 on
 relint(F) when every vertex has v.b_i = 0, has the one strict sign when
 only that sign occurs, and can be either sign or 0 when both occur.  The
-cone of sign vector s can meet relint(F) only if each s_i is allowed in
-this way.  When the d reflections R_i across the hyperplanes normal to
-b_i are symmetries of P, which certify checks first, the converse holds
-too.  If F has vertices of both signs on b_i, some point of relint(F)
-has x.b_i = 0; R_i fixes it, so R_i maps F onto itself.  Averaging a
-point of relint(F) over those reflections gives one with x.b_i = 0 for
-every such i, and moving it a little toward reflected vertices of the
-wanted signs gives a point of relint(F) in the open cone.  So the first
-proper face in (dim, vertex_ids) order whose signs allow a cone is that
-cone's witness, and one exact LP per cone produces the rational witness
+pattern cone s(F) has s(F)_i that strict sign when it occurs alone, else
+0.  When the reflections R_i across the hyperplanes normal to b_i are
+symmetries of P, which certify checks first, a cone's witness is the
+first proper face in (dim, vertex_ids) order whose pattern is the cone:
+- If F has vertices of both signs on b_i, some point of relint(F) has
+  x.b_i = 0; R_i fixes it, so R_i maps F onto itself.  Averaging a point
+  of relint(F) over those R_i gives one in the open cone of s(F).
+- Let F be the first proper face whose relint meets the open cone of s,
+  at y, so s(F)_i = 0 where s_i = 0.  Let T hold the i with s_i != 0 on
+  which F has vertices of both signs, and e = sum over T of
+  (y.b_i / b_i.b_i) b_i.  The average of y over the group generated by
+  the R_i with i in T is y - e, in F, so e is parallel to aff(F), and
+  the ray y + lambda e, lambda >= 0, keeps every sign of y.  If T is not
+  empty, e != 0 and the ray leaves F through the relative interior of a
+  proper face of F, which comes earlier and meets the cone.  So s(F) = s,
+  and by the first point no earlier face has pattern s.
+So one exact LP per cone, on that face, gives the rational witness
 point.  An LP that misses is a bug, not a verdict.
 
 The pass runs on tables built once per certify call.  Per basis vector
-two vertex bitmasks make a face's allowed signs two ANDs each.  The LP
+two vertex bitmasks make a face's pattern two ANDs each.  The LP
 rows hold only the face's vertex-basis dot products, signed by the
 cone, from one integer table, so many cones pose the same integer rows
 and the simplex runs once per distinct system.  The simplex takes ints
@@ -155,24 +162,17 @@ def relint_meets_cone_interior(
     ))
 
 
-_SIGNS = {(0, 0): (0,), (1, 0): (1,), (0, 1): (-1,), (1, 1): (-1, 0, 1)}
-
-
-def _face_signs(face: Face, t: _Tables) -> tuple:
-    """Per basis vector b_i, the signs x.b_i can take on relint(face):
-    (0,) when every vertex has v.b_i = 0, the one strict sign when only
-    that sign occurs, and (-1, 0, 1) when both occur."""
+def _pattern(face: Face, t: _Tables) -> tuple:
+    """The pattern cone of face: per basis vector b_i, the one strict
+    sign of v.b_i when only that sign occurs among its vertices, else 0."""
     vmask = sum(1 << v for v in face.vertex_ids)
-    return tuple(
-        _SIGNS[bool(vmask & pos), bool(vmask & neg)] for pos, neg in t.masks
-    )
+    return tuple(bool(vmask & pos) - bool(vmask & neg) for pos, neg in t.masks)
 
 
-def _inclusion_ok(allowed: tuple, signs: tuple) -> bool:
-    """Vertex-sign form of the strict inclusion of relint(face) in the
-    open halfspace system of the cone: on every selected direction the
-    face's allowed signs are exactly the cone's sign."""
-    return all(a == (s,) for a, s in zip(allowed, signs) if s)
+def _inclusion_ok(face: Face, signs: tuple, t: _Tables) -> bool:
+    """Vertex-sign form of relint(face) lying strictly inside the cone's
+    halfspace system: on each selected b_i the face's pattern is s_i."""
+    return all(c == s for c, s in zip(_pattern(face, t), signs) if s)
 
 
 @dataclass(frozen=True)
@@ -239,15 +239,14 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
     carries the face counts, the failure description, and verdict False
     with an empty witness list.
 
-    Otherwise the reflections are symmetries of p, so vertex signs pick
-    each cone's witness exactly (see the module docstring): every proper
-    face, in lattice order, takes the cones its allowed signs admit and
-    no earlier face took.  Every cone is taken, because the ray along
-    its sign vector leaves p through the relative interior of a proper
-    face.  One LP per cone then yields the witness point, and the
-    simplex runs once per distinct LP: the tables of this call hold
-    each result, so nothing outlives the call.  A miss raises
-    RuntimeError, since it can only be a bug.
+    Otherwise the reflections are symmetries of p, so each cone's
+    witness is the first proper face, in lattice order, whose pattern
+    cone it is (see the module docstring): the table takes one entry per
+    proper face.  Every cone is taken, as the ray along its sign vector
+    leaves p through the relative interior of a proper face.  One LP per
+    cone yields the witness point; the simplex runs once per distinct
+    LP, whose results live in this call's tables.  A cone no face takes
+    or an LP that misses raises RuntimeError: it can only be a bug.
 
     Deterministic end to end.
     """
@@ -258,20 +257,19 @@ def certify(p: Polytope, basis: Sequence[QVector]) -> Certificate:
     if report.hypotheses_hold:
         t = _Tables(p, basis)
         taken: dict = {}
-        for face in lat.faces:
-            if face.dim < p.dim:
-                allowed = _face_signs(face, t)
-                for signs in product(*allowed):
-                    taken.setdefault(signs, (face, allowed))
+        for face in lat.faces[:-1]:  # the proper faces; p is last
+            taken.setdefault(_pattern(face, t), face)
         for signs in enumerate_cones(p.dim):
-            face, allowed = taken[signs]
+            face = taken.get(signs)
+            if face is None:
+                raise RuntimeError(f"no proper face has the pattern cone {signs}")
             point = relint_meets_cone_interior(face, signs, t)
             if point is None:
                 raise RuntimeError(
                     f"the witness LP of cone {signs} misses face "
-                    f"{face.vertex_ids}, whose vertex signs admit it"
+                    f"{face.vertex_ids}, whose pattern cone it is"
                 )
-            ok = _inclusion_ok(allowed, signs)
+            ok = _inclusion_ok(face, signs, t)
             witnesses.append(ConeWitness(signs, face, point, ok))
     distinct = {w.face.vertex_ids for w in witnesses}
     injective = bool(witnesses) and len(distinct) == len(witnesses)

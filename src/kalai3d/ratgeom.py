@@ -30,9 +30,9 @@ __all__ = [
     "kernel_basis",
 ]
 
-# One optional sign, a base-10 integer, optionally "/denominator" with the
-# denominator strictly positive.  No whitespace, no decimal points.
-_RATIONAL_TOKEN = re.compile(r"^[+-]?\d+(?:/[1-9][0-9]*)?$")
+# One optional sign, ASCII base-10 digits, optionally "/denominator" with
+# the denominator strictly positive.  No whitespace, no decimal points.
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 class InputError(ValueError):
@@ -47,13 +47,13 @@ def rational(numerator: object = 0, denominator: object = 1):
 
 
 def parse_rational(token: str):
-    """Parse the serialized form "p/q" or "p" (base 10, q > 0).
+    """Parse the serialized form "p/q" or "p" (ASCII base 10, q > 0).
 
     This is deliberately stricter than the scalar constructor: it rejects
     whitespace, decimal points, and non-positive denominators, because it
     guards the file formats.
     """
-    if not isinstance(token, str) or not _RATIONAL_TOKEN.match(token):
+    if not isinstance(token, str) or not _RATIONAL_TOKEN.fullmatch(token):
         raise ValueError(f"not a rational token: {token!r}")
     if "/" in token:
         num, den = token.split("/", 1)

@@ -1,16 +1,18 @@
 """Reference implementations for the tests of the integer and bitmask paths.
 
 Gauss-Jordan elimination and a two-phase Bland simplex, both on
-``Fraction`` entries, the rational reflection, and the face lattice
-closed once per join, all sharing no code with ``kalai3d``: the integer
+``Fraction`` entries, the rational reflection, the face lattice closed
+once per join, and the cone-to-face table over every sign vector each
+face allows, all sharing no code with ``kalai3d``: the integer
 ``ratgeom.echelon``, the double description built on it,
 ``simplex.Model``, the integer reflection check of
-``symmetry.verify_basis`` and ``lattice.enumerate_faces`` are checked
-against these.
+``symmetry.verify_basis``, ``lattice.enumerate_faces`` and the pattern
+cone table of ``kalai.certify`` are checked against these.
 """
 
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 OPTIMAL = "optimal"
@@ -253,3 +255,30 @@ def face_lattice(p) -> list:
         for vmask, k in dims.items()
     ]
     return sorted(faces, key=lambda f: (f[1], f[0]))
+
+
+def allowed_signs(p, basis, vertex_ids) -> tuple:
+    """Per basis vector b, the signs x.b can take on the relative
+    interior of the face with these vertices, from the signs of the
+    rational dot products v.b: (0,) when all are 0, the one strict sign
+    when only it occurs, and (-1, 0, 1) when both occur."""
+    out = []
+    for b in basis:
+        dots = [sum(Fraction(x) * c for x, c in zip(p.vertices[v], b))
+                for v in vertex_ids]
+        signs = {(x > 0) - (x < 0) for x in dots} - {0}
+        out.append((-1, 0, 1) if len(signs) == 2 else tuple(signs) or (0,))
+    return tuple(out)
+
+
+def cone_table(p, basis) -> dict:
+    """Cone sign vector -> vertex ids of the first proper face, in
+    face_lattice order, whose allowed signs admit it: every sign vector
+    in the product of each face's allowed signs, 5^d of them on a cube."""
+    table = {}
+    for ids, k in face_lattice(p):
+        if k < len(basis):
+            for signs in product(*allowed_signs(p, basis, ids)):
+                table.setdefault(signs, ids)
+    table.pop((0,) * len(basis), None)
+    return table

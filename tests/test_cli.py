@@ -281,6 +281,19 @@ def test_file_not_utf8(run, cross3_path, tmp_path, argv):
     assert f"{path}:1:1: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["V \u0662 4\n1 0\n-1 0\n0 1\n0 -1\n", "V 2 4\n\u0661 0\n-1 0\n0 1\n0 -1\n"],
+    ids=["header", "numerator"],
+)
+def test_digits_that_are_not_ascii(run, tmp_path, text):
+    path = tmp_path / "arabic.vpoly"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run("fvector", str(path))
+    assert code == 2 and out == ""
+    assert f"{path}:" in err
+
+
 @pytest.fixture
 def int_digit_limit():
     """Python's default limit on int/str conversion, which the inputs

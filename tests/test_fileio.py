@@ -128,6 +128,12 @@ def test_not_utf8_points_at_the_byte(tmp_path):
     assert "not UTF-8 text (byte 0xff)" in str(info.value)
 
 
+def test_header_digits_are_ascii():
+    e = err("V \u0662 4\n1 0\n-1 0\n0 1\n0 -1\n")
+    assert (e.line, e.col) == (1, 3)
+    assert "dimension must be a base-10 integer" in str(e)
+
+
 def test_header_too_short():
     e = err("H 2\n1 0 1\n")
     assert e.line == 1

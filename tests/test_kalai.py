@@ -8,11 +8,12 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kalai3d import cli, kalai
 from kalai3d.fileio import format_polytope_text
 from kalai3d.kalai import (
-    _face_signs,
     _inclusion_ok,
     _Tables,
     certify,
@@ -46,7 +47,7 @@ def relint(face, signs, basis, p):
 
 
 def inclusion_holds(face, signs, basis, p):
-    return _inclusion_ok(_face_signs(face, _Tables(p, basis)), signs)
+    return _inclusion_ok(face, signs, _Tables(p, basis))
 
 
 def witness(cert, signs):
@@ -155,13 +156,14 @@ class TestInteriorInclusion:
 
 
 def sign_table_mismatches(p, basis):
-    """(face, cone) pairs where the sign table and the witness LP disagree."""
+    """(face, cone) pairs where the reference allowed-sign table and the
+    witness LP disagree."""
     tables = _Tables(p, basis)
     out = []
     for f in enumerate_faces(p).faces:
         if f.dim == p.dim:
             continue
-        allowed = set(product(*_face_signs(f, tables)))
+        allowed = set(product(*reference.allowed_signs(p, basis, f.vertex_ids)))
         for k in enumerate_cones(p.dim):
             x = relint_meets_cone_interior(f, k, tables)
             if (k in allowed) != (x is not None):
@@ -385,15 +387,23 @@ class TestCertify:
         assert doc["total"] == 7
 
 
-def rotated_cube3():
-    """The 3-cube turned by the 3-4-5 rotation, with the rotated axes as
-    its basis: denominators in every vertex and basis vector."""
-    rot = ROTATIONS[3]
+def rotated(p):
+    """p turned by the 3-4-5 rotation of ROTATIONS on its first two or
+    three axes, with the rotated axes as its basis: denominators in every
+    vertex and basis vector."""
+    d = p.dim
+    k = min(d, 3)
+    rows = [tuple(r) + (0,) * (d - k) for r in ROTATIONS[k]]
+    rows += [tuple(int(i == j) for j in range(d)) for i in range(k, d)]
     points = tuple(
-        QVector(sum(s * r[c] for s, r in zip(signs, rot)) for c in range(3))
-        for signs in product((1, -1), repeat=3)
+        QVector(sum(c * r[j] for c, r in zip(v, rows)) for j in range(d))
+        for v in p.vertices
     )
-    return build_polytope(VRep(3, points)), tuple(QVector(r) for r in rot)
+    return build_polytope(VRep(d, points)), tuple(QVector(r) for r in rows)
+
+
+def rotated_cube3():
+    return rotated(generate("cube", dim=3))
 
 
 def rational_witness(face, signs, basis, p):
@@ -419,6 +429,62 @@ def rational_witness(face, signs, basis, p):
         sum(w * p.vertices[v][c] for w, v in zip(weights, ids))
         for c in range(p.dim)
     )
+
+
+@st.composite
+def symmetric_instances(draw):
+    """A polytope of dimension at most 5 with a basis of reflections that
+    are its symmetries: a cube, a cross-polytope, a cube x cross product
+    or a random reflection-symmetric one, rotated or not."""
+    kind = draw(st.sampled_from(["cube", "cross_polytope", "product", "random"]))
+    if kind == "product":
+        a = draw(st.integers(1, 4))
+        b = draw(st.integers(1, 5 - a))
+        p = generate("product", factors=(generate("cube", dim=a),
+                                         generate("cross_polytope", dim=b)))
+    elif kind == "random":
+        p = generate("random_reflection_symmetric", dim=draw(st.integers(1, 5)),
+                     m=draw(st.integers(1, 2)), seed=draw(st.integers(0, 99)))
+    else:
+        p = generate(kind, dim=draw(st.integers(1, 5)))
+    if p.dim > 1 and draw(st.booleans()):
+        return rotated(p)
+    return p, standard_basis(p.dim)
+
+
+class TestPatternTable:
+    @settings(max_examples=30, deadline=None)
+    @given(symmetric_instances())
+    def test_equals_the_sign_product_table(self, instance):
+        """Keying each proper face on its pattern cone alone picks the
+        same face for every cone as tabling every sign vector the face's
+        vertex signs allow, first face first."""
+        p, basis = instance
+        cert = certify(p, basis)
+        assert cert.verdict
+        got = {w.signs: w.face.vertex_ids for w in cert.witnesses}
+        assert got == reference.cone_table(p, basis)
+
+    def test_cone_with_no_face_is_internal_error(self, monkeypatch, tmp_path, capsys):
+        """A cone that no face takes is a bug: certify raises naming the
+        cone and the CLI exits 3, never 1 (false) or 2 (bad input)."""
+        pattern = kalai._pattern
+
+        def hide_quadrant(face, t):
+            s = pattern(face, t)
+            return (0, 0) if s == (1, 1) else s
+
+        monkeypatch.setattr(kalai, "_pattern", hide_quadrant)
+        p = generate("cube", dim=2)
+        with pytest.raises(RuntimeError, match=r"\(1, 1\)"):
+            certify(p, standard_basis(2))
+
+        path = tmp_path / "cube2.hpoly"
+        path.write_text(format_polytope_text(p.hrep()))
+        assert cli.main(["certify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RuntimeError" in captured.err
 
 
 class TestIntegerWitness:

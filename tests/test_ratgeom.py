@@ -64,7 +64,9 @@ class TestScalar:
         assert parse_rational(text) == rational(num, den)
 
     @pytest.mark.parametrize(
-        "bad", ["1.5", "1/0", "1/-2", "1 /2", " 1", "", "a", "1/2/3", "0x3"]
+        "bad",
+        ["1.5", "1/0", "1/-2", "1 /2", " 1", "", "a", "1/2/3", "0x3",
+         "1/2\n", "\u0663", "\uff13", "\u0661/2"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
